@@ -9,9 +9,9 @@ import repro.core.{JoinQuery, RelSchema}
 import repro.data.Workload
 
 /** Spark-side views of the pure-Scala generators in [[repro.data.StreamGen]]
-  * — extends the provided [[SynthData]] with the datasets this paper needs
-  * (graph edges, TPC-DS-lite, LDBC-lite), built from the *same* seeded tuples
-  * the engines consume, so `Oracle.assertEquivalent` compares like for like.
+  * — the datasets this paper needs (graph edges, TPC-DS-lite, LDBC-lite),
+  * built from the *same* seeded tuples the engines consume, so
+  * `Oracle.assertEquivalent` compares like for like.
   */
 object SynthDataX {
 

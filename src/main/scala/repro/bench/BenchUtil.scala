@@ -1,7 +1,5 @@
 package repro.bench
 
-import repro.core.SamplingEngine
-
 /** Timing/budget plumbing shared by the jobs and the bench suites. */
 object BenchUtil {
 
@@ -14,9 +12,11 @@ object BenchUtil {
       if (dnf) f"DNF(>$seconds%.1fs @ $processed/$total)" else f"$seconds%.3fs"
   }
 
-  /** Feed `tuples` into `engine`, checking the budget every 512 tuples. */
-  def feedTimed(engine: SamplingEngine, tuples: Seq[(String, Array[Long])],
-                budgetSec: Double, sample: Boolean = true): FeedResult = {
+  /** Feed `tuples` through `step` (an engine's `insert`, or its index-only
+    * update), checking the budget every 512 tuples.
+    */
+  def feedTimed(step: (String, Array[Long]) => Unit, tuples: Seq[(String, Array[Long])],
+                budgetSec: Double): FeedResult = {
     val t0 = System.nanoTime()
     val budgetNanos = (budgetSec * 1e9).toLong
     var i = 0
@@ -24,7 +24,7 @@ object BenchUtil {
     val it = tuples.iterator
     while (it.hasNext) {
       val (rel, t) = it.next()
-      if (sample) engine.insert(rel, t) else engine.updateIndexOnly(rel, t)
+      step(rel, t)
       i += 1
       if ((i & 511) == 0 && System.nanoTime() - t0 > budgetNanos)
         return FeedResult((System.nanoTime() - t0) / 1e9, dnf = true, i, n)

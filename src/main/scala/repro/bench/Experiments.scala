@@ -55,7 +55,7 @@ object Experiments {
     val rows = ArrayBuffer.empty[Seq[String]]
 
     def run(query: String, engine: String, mk: () => SamplingEngine, w: Seq[(String, Array[Long])]): FeedResult = {
-      val r = feedTimed(mk(), w, s.budgetSec)
+      val r = feedTimed(mk().insert, w, s.budgetSec)
       rows += Seq(query, engine, r.pretty)
       r
     }
@@ -71,7 +71,7 @@ object Experiments {
     {
       val edges = StreamGen.graphEdges(s.graphEdges / 4, s.graphNodes / 2, s.seed)
       val stream = StreamGen.dumbbell(edges, s.seed)
-      val r = feedTimed(GhdEngine.dumbbell(s.kGraph, s.seed), stream, s.budgetSec)
+      val r = feedTimed(GhdEngine.dumbbell(s.kGraph, s.seed).insert, stream, s.budgetSec)
       rows += Seq("dumbbell", "RSJoin", r.pretty)
       rows += Seq("dumbbell", "SJoin", "n/a (cyclic)")
     }
@@ -96,7 +96,7 @@ object Experiments {
   def t2UpdateTime(s: Scale): String = {
     val w = graphWorkload("line4", s)
     val rows = ArrayBuffer.empty[Seq[String]]
-    for ((name, mk) <- Seq[(String, () => SamplingEngine)](
+    for ((name, mk) <- Seq[(String, () => ReservoirJoinEngine)](
       "RSJoin" -> (() => new ReservoirJoinEngine(w.query, s.kGraph, s.seed, trackFullJoin = false)),
       "SJoin" -> (() => new SJoinEngine(w.query, s.kGraph, s.seed, trackFullJoin = false)))) {
       val engine = mk()
@@ -108,7 +108,7 @@ object Experiments {
       while (it.hasNext && !dnf) {
         val (rel, t) = it.next()
         val a = System.nanoTime()
-        engine.updateIndexOnly(rel, t)
+        engine.updateOnly(rel, t)
         nanos += System.nanoTime() - a
         if ((nanos.length & 511) == 0 && System.nanoTime() - t0 > budget) dnf = true
       }
@@ -194,8 +194,10 @@ object Experiments {
   def t4SampleSize(s: Scale, ks: Seq[Int]): String = {
     val w = graphWorkload("line3", s)
     val rows = for (k <- ks) yield {
-      val rsR = feedTimed(new ReservoirJoinEngine(w.query, k, s.seed, trackFullJoin = false), w.stream, s.budgetSec)
-      val sjR = feedTimed(new SJoinEngine(w.query, k, s.seed, trackFullJoin = false), w.stream, s.budgetSec)
+      val rsR = feedTimed(new ReservoirJoinEngine(w.query, k, s.seed, trackFullJoin = false).insert,
+        w.stream, s.budgetSec)
+      val sjR = feedTimed(new SJoinEngine(w.query, k, s.seed, trackFullJoin = false).insert,
+        w.stream, s.budgetSec)
       Seq(k.toString, rsR.pretty, sjR.pretty)
     }
     renderTable(Seq("k", "RSJoin", "SJoin"), rows) +
@@ -210,20 +212,23 @@ object Experiments {
     val w = relWorkload("qz", s)
     val all = w.preload ++ w.stream
     val rows = ArrayBuffer.empty[Seq[String]]
-    for ((name, mk) <- Seq[(String, () => SamplingEngine)](
-      "N/A" -> (() => new ReservoirJoinEngine(w.query, s.kRel, s.seed, trackFullJoin = false)),
-      "Foreign-key" -> (() => FkEngine.rs(w.query, w.fks, s.kRel, s.seed, trackFullJoin = false)),
-      "Foreign-key + Grouping" ->
-        (() => FkEngine.rs(w.query, w.fks, s.kRel, s.seed, grouping = true, trackFullJoin = false)))) {
+    // `updateOnly` feeds a fresh engine with sampling disabled: at
+    // reproduction scale the total is sampling-dominated, so the
+    // index-maintenance effect of the optimizations (what Fig. 9 is about)
+    // shows up there.
+    def row(name: String, mk: () => SamplingEngine,
+            updateOnly: () => (String, Array[Long]) => Unit): Unit = {
       val engine = mk()
-      val r = feedTimed(engine, all, s.budgetSec * 3)
-      // Separate run with sampling disabled: at reproduction scale the total
-      // is sampling-dominated, so the index-maintenance effect of the
-      // optimizations (what Fig. 9 is about) shows up here.
-      val engine2 = mk()
-      val r2 = feedTimed(engine2, all, s.budgetSec * 3, sample = false)
+      val r = feedTimed(engine.insert, all, s.budgetSec * 3)
+      val r2 = feedTimed(updateOnly(), all, s.budgetSec * 3)
       rows += Seq(name, engine.propagations.toString, r.pretty, r2.pretty)
     }
+    def plain() = new ReservoirJoinEngine(w.query, s.kRel, s.seed, trackFullJoin = false)
+    def opt(grouping: Boolean) =
+      FkEngine.rs(w.query, w.fks, s.kRel, s.seed, grouping, trackFullJoin = false)
+    row("N/A", () => plain(), () => plain().updateOnly)
+    row("Foreign-key", () => opt(false), () => opt(false).updateOnly)
+    row("Foreign-key + Grouping", () => opt(true), () => opt(true).updateOnly)
     renderTable(Seq("optimizations", "#propagations", "run-time", "update-only"), rows.toSeq)
   }
 
@@ -235,9 +240,11 @@ object Experiments {
     val rows = for (sf <- sfs) yield {
       val w = StreamGen.qz(sf, s.seed)
       val all = w.preload ++ w.stream
-      val rs = feedTimed(new ReservoirJoinEngine(w.query, s.kRel, s.seed, trackFullJoin = false), all, s.budgetSec * 3)
+      val rs = feedTimed(new ReservoirJoinEngine(w.query, s.kRel, s.seed, trackFullJoin = false).insert,
+        all, s.budgetSec * 3)
       val opt = feedTimed(
-        FkEngine.rs(w.query, w.fks, s.kRel, s.seed, grouping = true, trackFullJoin = false), all, s.budgetSec * 3)
+        FkEngine.rs(w.query, w.fks, s.kRel, s.seed, grouping = true, trackFullJoin = false).insert,
+        all, s.budgetSec * 3)
       Seq(sf.toString, all.size.toString, rs.pretty, opt.pretty)
     }
     renderTable(Seq("SF", "tuples", "RSJoin", "RSJoin_opt"), rows)
@@ -282,8 +289,8 @@ object Experiments {
       val all = w.preload ++ w.stream
       val rs = FkEngine.rs(w.query, w.fks, s.kRel, s.seed, grouping = true, trackFullJoin = false)
       val sj = FkEngine.sj(w.query, w.fks, s.kRel, s.seed, trackFullJoin = false)
-      val r1 = feedTimed(rs, all, s.budgetSec)
-      val r2 = feedTimed(sj, all, s.budgetSec)
+      val r1 = feedTimed(rs.insert, all, s.budgetSec)
+      val r2 = feedTimed(sj.insert, all, s.budgetSec)
       sb ++= "\n\nQ10 (final index KiB):\n"
       sb ++= renderTable(Seq("engine", "KiB", "status"), Seq(
         Seq("RSJoin_opt", (rs.approxBytes / 1024).toString, r1.pretty),

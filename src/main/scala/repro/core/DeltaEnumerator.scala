@@ -38,32 +38,8 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
   def insertAndDelta(rel: String, values: Array[Long]): ArrayBuffer[JoinRow] = {
     val r = query.relIdx(rel)
     stores(r).insert(values)
-    val tree = rootedTrees(r)
     val out = new ArrayBuffer[JoinRow]
-    val acc = mutable.HashMap.empty[String, Long]
-    def putAttrs(s: RelSchema, t: Tup): Unit = {
-      var i = 0
-      while (i < s.arity) { acc(s.attrs(i)) = t(i); i += 1 }
-    }
-    // Backtracking over the rooted tree: expand children depth-first.
-    def expand(pending: List[Int]): Unit = pending match {
-      case Nil => out += acc.toMap
-      case relC :: rest =>
-        val schemaC = query.relations(relC)
-        val keyAttrs = tree.key(relC)
-        val keyVals = Proj.key(
-          keyAttrs.map(a => acc(a)).toArray, Array.tabulate(keyAttrs.length)(identity))
-        val matches = stores(relC).lookup(keyAttrs, keyVals)
-        var i = 0
-        while (i < matches.length) {
-          val t = stores(relC).tuples(matches(i))
-          putAttrs(schemaC, t)
-          expand(tree.children(relC).toList ::: rest)
-          i += 1
-        }
-    }
-    putAttrs(query.relations(r), values)
-    expand(tree.children(r).toList)
+    joinsOf(rootedTrees(r), values, out)
     out
   }
 
@@ -73,6 +49,15 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
   def fullJoin(): ArrayBuffer[JoinRow] = {
     val out = new ArrayBuffer[JoinRow]
     val tree = rootedTrees(0)
+    for (t <- stores(tree.root).tuples) joinsOf(tree, t, out)
+    out
+  }
+
+  /** Append to `out` every join result that contains tuple `t` of `tree`'s
+    * root relation, by backtracking over the tree: children are expanded
+    * depth-first through hash semijoin lookups.
+    */
+  private def joinsOf(tree: RootedTree, t: Tup, out: ArrayBuffer[JoinRow]): Unit = {
     val acc = mutable.HashMap.empty[String, Long]
     def putAttrs(s: RelSchema, t: Tup): Unit = {
       var i = 0
@@ -93,11 +78,7 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
           i += 1
         }
     }
-    val root = tree.root
-    for (t <- stores(root).tuples) {
-      putAttrs(query.relations(root), t)
-      expand(tree.children(root).toList)
-    }
-    out
+    putAttrs(query.relations(tree.root), t)
+    expand(tree.children(tree.root).toList)
   }
 }

@@ -14,13 +14,18 @@ import Proj.JoinRow
   *
   * @param grouping  enable the Section 4.4 grouping optimization
   */
-final class ReservoirJoinEngine(
+class ReservoirJoinEngine private[core] (
     val query: JoinQuery,
     val k: Int,
     seed: Long,
-    grouping: Boolean = false,
-    trackFullJoin: Boolean = true,
+    grouping: Boolean,
+    trackFullJoin: Boolean,
+    policy: CountPolicy,
 ) extends SamplingEngine {
+
+  def this(query: JoinQuery, k: Int, seed: Long, grouping: Boolean = false,
+           trackFullJoin: Boolean = true) =
+    this(query, k, seed, grouping, trackFullJoin, CountPolicy.Pow2)
 
   val stores: Vector[RelationStore] = query.relations.map(new RelationStore(_))
   val counters = new EngineCounters
@@ -32,7 +37,7 @@ final class ReservoirJoinEngine(
   val trees: Vector[TreeIndex] =
     query.relations.indices.map { r =>
       new TreeIndex(JoinTree.rooted(query, unrootedEdges, r), stores, grouping,
-        counters, trackRoot = trackFullJoin)
+        counters, trackFullJoin, policy)
     }.toVector
 
   val rng = new Rng(seed)
@@ -56,14 +61,15 @@ final class ReservoirJoinEngine(
   def insert(rel: String, values: Array[Long]): Unit =
     reservoir.update(updateOnly(rel, values))
 
-  def updateIndexOnly(rel: String, values: Array[Long]): Unit = {
-    updateOnly(rel, values); ()
-  }
-
   def propagations: Long = counters.propagations
 
   /** Current reservoir contents (uniform k-sample of `Q(R)` w/o replacement). */
   def sample: Seq[JoinRow] = reservoir.sample.toSeq
+
+  /** Size of tree 0's array over the full join: a constant-factor bound on
+    * `|Q(R)|`, or `|Q(R)|` itself under exact counts.
+    */
+  def fullCount: Long = trees(0).fullCount
 
   /** Structure-proportional memory estimate (Fig. 11). */
   def approxBytes: Long =

@@ -11,9 +11,6 @@ trait SamplingEngine extends Serializable {
   /** Process one streamed tuple: maintain the index and the reservoir. */
   def insert(rel: String, values: Array[Long]): Unit
 
-  /** Index maintenance only — used by the update-time experiment (Fig. 6). */
-  def updateIndexOnly(rel: String, values: Array[Long]): Unit
-
   /** Current uniform sample (≤ k rows) of the join results so far. */
   def sample: Seq[JoinRow]
 

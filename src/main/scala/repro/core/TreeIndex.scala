@@ -2,9 +2,11 @@ package repro.core
 
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
+import scala.jdk.CollectionConverters._
 
 import Pow2._
 import Proj.{JoinRow, Tup}
+import repro.core.baseline.Fenwick
 
 /** Shared instrumentation across the rooted trees of one engine. */
 final class EngineCounters extends Serializable {
@@ -34,33 +36,149 @@ final class Bucket extends Serializable {
   }
 }
 
-/** Per-key state of one node: the exact upper-bound count `cnt[T,e,t]`
-  * (always equal to `Σ_i 2^i · |Φ_i|`) and the non-empty buckets keyed by
-  * exponent. `cnt~` is recomputed as `ceilPow2(cnt)` on demand.
+/** Per-key state of one node: the exact sum `cnt` of its members' degrees,
+  * and the structure that maps a position in `[0, cnt)` to the member owning
+  * it. The index's [[CountPolicy]] picks the structure.
   */
-final class KeyState extends Serializable {
+sealed abstract class KeyState extends Serializable {
   var cnt: Long = 0L
+
+  /** Member `id`'s degree changed from `old` to `now` (`old` = 0 if the
+    * member is new); `cnt` is the caller's to adjust.
+    */
+  def reweigh(id: Int, old: Long, now: Long): Unit
+
+  /** The member owning position `z` (`0 ≤ z < cnt`); `offset(0)` receives
+    * z's offset within that member's positions.
+    */
+  def locate(z: Long, offset: Array[Long]): Int
+
+  /** Every member with its stored degree (for `checkInvariants`). */
+  def weights: Iterator[(Int, Long)]
+
+  def approxBytes: Long
+}
+
+/** `Pow2` key state (Section 4): the non-empty buckets `Φ_i` keyed by
+  * exponent, so that `cnt = Σ_i 2^i · |Φ_i|`.
+  */
+final class BucketKeyState extends KeyState {
   val buckets = new java.util.TreeMap[Integer, Bucket]()
 
-  def bucketAdd(i: Int, id: Int): Unit = {
-    var b = buckets.get(i)
-    if (b == null) { b = new Bucket; buckets.put(i, b) }
-    b.add(id)
+  def reweigh(id: Int, old: Long, now: Long): Unit = {
+    if (old > 0) {
+      val i = log2(old)
+      val b = buckets.get(i)
+      require(b != null, s"no bucket at exponent $i")
+      b.remove(id)
+      if (b.size == 0) buckets.remove(i)
+    }
+    if (now > 0) {
+      val i = log2(now)
+      var b = buckets.get(i)
+      if (b == null) { b = new Bucket; buckets.put(i, b) }
+      b.add(id)
+    }
   }
 
-  def bucketRemove(i: Int, id: Int): Unit = {
-    val b = buckets.get(i)
-    require(b != null, s"no bucket at exponent $i")
-    b.remove(id)
-    if (b.size == 0) buckets.remove(i)
+  def locate(z: Long, offset: Array[Long]): Int = {
+    // Ascending exponent scan; there are O(|T_e| log N) non-empty buckets.
+    var prefix = 0L
+    val it = buckets.entrySet().iterator()
+    while (it.hasNext) {
+      val e = it.next()
+      val i = e.getKey.intValue()
+      val width = (1L << i) * e.getValue.size
+      if (z < prefix + width) {
+        val j = ((z - prefix) >> i).toInt
+        offset(0) = (z - prefix) - (j.toLong << i)
+        return e.getValue.apply(j)
+      }
+      prefix += width
+    }
+    throw new IllegalArgumentException(s"position $z beyond bucket contents (cnt=$cnt)")
+  }
+
+  def weights: Iterator[(Int, Long)] =
+    buckets.entrySet().iterator().asScala.flatMap { e =>
+      e.getValue.ids.iterator.map(_ -> (1L << e.getKey.intValue()))
+    }
+
+  def approxBytes: Long = {
+    var bytes = 0L
+    val it = buckets.values().iterator()
+    while (it.hasNext) bytes += 64L + it.next().size.toLong * 40L
+    bytes
   }
 }
 
-/** The dynamic index of Section 4 for one rooted join tree.
+/** `Exact` key state (SJoin): every member holds a Fenwick slot in arrival
+  * order, weighted by its exact degree, so `cnt` is the Fenwick total.
+  */
+final class FenwickKeyState extends KeyState {
+  val members = new ArrayBuffer[Int](4)
+  val memberPos = mutable.HashMap.empty[Int, Int]
+  val fen = new Fenwick
+
+  def reweigh(id: Int, old: Long, now: Long): Unit = memberPos.get(id) match {
+    case Some(p) => if (now != old) fen.add(p, now - old)
+    case None =>
+      memberPos(id) = members.length
+      members += id
+      fen.append(now)
+  }
+
+  def locate(z: Long, offset: Array[Long]): Int = {
+    val (slot, ell) = fen.search(z)
+    offset(0) = ell
+    members(slot)
+  }
+
+  def weights: Iterator[(Int, Long)] = members.indices.iterator.map(s => members(s) -> fen.weight(s))
+
+  def approxBytes: Long = members.length.toLong * (8L + 48L + 8L) // slot + pos entry + fenwick cell
+}
+
+/** How a [[TreeIndex]] counts. `Pow2` (RSJoin) multiplies a parent's degree
+  * by `cnt~ = ceilPow2(cnt)` of each child key and buckets members by their
+  * power-of-two degree, so a count propagates only when `cnt~` doubles.
+  * `Exact` (SJoin) multiplies by `cnt` itself and keeps members in a Fenwick
+  * tree, so every count change propagates and batches hold no dummies. The
+  * engine class picks the policy.
+  */
+private[core] sealed abstract class CountPolicy extends Serializable {
+  /** The factor a parent's degree takes from a child key with count `cnt`. */
+  def round(cnt: Long): Long
+
+  def newKeyState(): KeyState
+
+  /** Whether a member whose degree did not change may be skipped. `Exact`
+    * may not: a new member takes its Fenwick slot on arrival, even at degree
+    * 0, so that slot order is arrival order.
+    */
+  def skipsUnchanged: Boolean
+}
+
+private[core] object CountPolicy {
+  case object Pow2 extends CountPolicy {
+    def round(cnt: Long): Long = ceilPow2(cnt)
+    def newKeyState(): KeyState = new BucketKeyState
+    def skipsUnchanged: Boolean = true
+  }
+
+  case object Exact extends CountPolicy {
+    def round(cnt: Long): Long = cnt
+    def newKeyState(): KeyState = new FenwickKeyState
+    def skipsUnchanged: Boolean = false
+  }
+}
+
+/** The dynamic index of Section 4 for one rooted join tree, under a
+  * [[CountPolicy]]: `Pow2` for RSJoin, `Exact` for the SJoin baseline.
   *
   * Unlike the paper (whose root holds no structure), the root also maintains
-  * a bucket structure under the empty key, so `cnt[T, root, ()]` is the size
-  * of a dense implicit array over the *full* `Q(R)` — this is what backs
+  * a key state under the empty key, so `cnt[T, root, ()]` is the size of a
+  * dense implicit array over the *full* `Q(R)` — this is what backs
   * [[FullJoinSampler]] (operation (2) of Theorem 4.2). Propagation into the
   * root costs the same amortized O(log N) as any other node.
   *
@@ -74,11 +192,15 @@ final class TreeIndex(
     stores: Vector[RelationStore],
     grouping: Boolean,
     counters: EngineCounters,
-    trackRoot: Boolean = true,
+    trackRoot: Boolean,
+    private[core] val policy: CountPolicy,
 ) extends Serializable {
 
   private val q = tree.query
   private val n = q.arity
+
+  /** Second result of [[KeyState.locate]]. */
+  private val offset = new Array[Long](1)
 
   final class Node(val rel: Int) extends Serializable {
     val isRoot: Boolean = rel == tree.root
@@ -131,20 +253,21 @@ final class TreeIndex(
     if (node.grouped) stores(node.rel).ensureIndex(node.groupAttrs)
   }
 
-  /** `cnt~[T, e, t]` — 0 when the key is absent. */
-  def cntTildeOf(rel: Int, key: IndexedSeq[Long]): Long =
-    nodes(rel).byKey.get(key) match {
-      case Some(ks) => ceilPow2(ks.cnt)
-      case None     => 0L
-    }
+  /** The exact `cnt[T, e, t]` — 0 when the key is absent. */
+  def cntOf(rel: Int, key: IndexedSeq[Long]): Long = {
+    val ks = nodes(rel).byKey.getOrElse(key, null)
+    if (ks == null) 0L else ks.cnt
+  }
 
-  def cntOf(rel: Int, key: IndexedSeq[Long]): Long =
-    nodes(rel).byKey.get(key).map(_.cnt).getOrElse(0L)
+  /** The count a parent multiplies by: `cnt~ = ceilPow2(cnt)` under `Pow2`,
+    * `cnt` under `Exact`.
+    */
+  def cntTildeOf(rel: Int, key: IndexedSeq[Long]): Long = policy.round(cntOf(rel, key))
 
-  /** Approximate degree of a member: `feq~ · Π_child cnt~` (Section 4.3/4.4). */
+  /** Degree of a member: `feq~ · Π_child cnt~` (Section 4.3/4.4). */
   private def degreeOf(node: Node, memberId: Int): Long = {
     val t = node.memberTuple(memberId)
-    var d = if (node.grouped) ceilPow2(node.feq(memberId)) else 1L
+    var d = if (node.grouped) policy.round(node.feq(memberId)) else 1L
     var i = 0
     while (d > 0 && i < node.children.length) {
       d = mulCap(d, cntTildeOf(node.children(i), Proj.key(t, node.childKeyIdx(i))))
@@ -154,20 +277,19 @@ final class TreeIndex(
   }
 
   /** IndexUpdate (Algorithm 7 / Algorithm 10): member `memberId` of `node`
-    * had approximate degree `old` (0 if new); recompute, re-bucket, adjust
-    * the key count, and propagate upward if `cnt~` changed.
+    * had degree `old` (0 if new); recompute, reweigh, adjust the key count,
+    * and propagate upward if the rounded count changed.
     */
   private def update(node: Node, memberId: Int, old: Long): Unit = {
-    val newDeg = degreeOf(node, memberId)
-    if (newDeg == old) return
+    val now = degreeOf(node, memberId)
+    if (now == old && policy.skipsUnchanged) return
     val key = Proj.key(node.memberTuple(memberId), node.keyIdx)
-    val ks = node.byKey.getOrElseUpdate(key, new KeyState)
-    if (old > 0) ks.bucketRemove(log2(old), memberId)
-    if (newDeg > 0) ks.bucketAdd(log2(newDeg), memberId)
-    val oldTilde = ceilPow2(ks.cnt)
-    ks.cnt += newDeg - old
-    val newTilde = ceilPow2(ks.cnt)
-    if (newTilde != oldTilde && !node.isRoot &&
+    var ks = node.byKey.getOrElse(key, null)
+    if (ks == null) { ks = policy.newKeyState(); node.byKey(key) = ks }
+    ks.reweigh(memberId, old, now)
+    val oldRounded = policy.round(ks.cnt)
+    ks.cnt += now - old
+    if (policy.round(ks.cnt) != oldRounded && !node.isRoot &&
         (trackRoot || !nodes(tree.parent(node.rel)).isRoot)) {
       val parent = nodes(tree.parent(node.rel))
       val pStore = if (parent.grouped) parent.gstore else stores(parent.rel)
@@ -177,12 +299,12 @@ final class TreeIndex(
         val pid = members(m)
         counters.propagations += 1
         val pt = parent.memberTuple(pid)
-        var oldDeg = if (parent.grouped) ceilPow2(parent.feq(pid)) else 1L
+        var oldDeg = if (parent.grouped) policy.round(parent.feq(pid)) else 1L
         var ci = 0
         while (oldDeg > 0 && ci < parent.children.length) {
           val c = parent.children(ci)
           val factor =
-            if (c == node.rel) oldTilde
+            if (c == node.rel) oldRounded
             else cntTildeOf(c, Proj.key(pt, parent.childKeyIdx(ci)))
           oldDeg = mulCap(oldDeg, factor)
           ci += 1
@@ -200,7 +322,7 @@ final class TreeIndex(
     val node = nodes(rel)
     if (node.isRoot && !trackRoot) {
       // The paper's index (Algorithm 7): the root holds no structure; only
-      // trees with full-join tracking bucket root tuples under the ∅-key.
+      // trees with full-join tracking count root tuples under the ∅-key.
       ()
     } else if (!node.grouped) {
       update(node, tupId, 0L)
@@ -216,10 +338,10 @@ final class TreeIndex(
         case Some(gid) =>
           val fOld = node.feq(gid)
           node.feq(gid) = fOld + 1
-          if (ceilPow2(fOld + 1) != ceilPow2(fOld)) {
-            // feq~ doubled: the group's degree changes by exactly that factor.
+          if (policy.round(fOld + 1) != policy.round(fOld)) {
+            // feq~ changed: the group's degree changes by exactly that factor.
             val t2 = node.memberTuple(gid)
-            var oldDeg = ceilPow2(fOld)
+            var oldDeg = policy.round(fOld)
             var ci = 0
             while (oldDeg > 0 && ci < node.children.length) {
               oldDeg = mulCap(oldDeg,
@@ -251,23 +373,8 @@ final class TreeIndex(
     val node = nodes(rel)
     val ks = node.byKey.getOrElse(key, null)
     if (ks == null || z >= ks.cnt) return false // padding up to cnt~ is dummy
-    // Locate the bucket holding position z (ascending exponent scan; there
-    // are O(|T_e| log N) non-empty buckets).
-    var prefix = 0L
-    val it = ks.buckets.entrySet().iterator()
-    var i = -1
-    var b: Bucket = null
-    var found = false
-    while (!found && it.hasNext) {
-      val e = it.next()
-      val width = (1L << e.getKey.intValue()) * e.getValue.size
-      if (z < prefix + width) { i = e.getKey.intValue(); b = e.getValue; found = true }
-      else prefix += width
-    }
-    require(found, s"position $z beyond bucket contents (cnt=${ks.cnt})")
-    val j = ((z - prefix) >> i).toInt
-    val ell = (z - prefix) - (j.toLong << i)
-    val member = b(j)
+    val member = ks.locate(z, offset)
+    val ell = offset(0)
     if (!node.grouped) {
       retrieveRaw(node, node.memberTuple(member), ell, out)
     } else {
@@ -318,7 +425,7 @@ final class TreeIndex(
     * `[cnt, cnt~)` are always dummy padding, so truncating them keeps the
     * batch a superset of `ΔQ` while strictly improving density). This
     * matches the paper's two-table and line-3 cases, where `|ΔJ|` is
-    * `cnt(b)·cnt(c)` exactly.
+    * `cnt(b)·cnt(c)` exactly. Under `Exact`, `ΔJ = ΔQ`.
     */
   def deltaBatch(tupId: Int): Batch[JoinRow] = {
     val node = nodes(tree.root)
@@ -353,7 +460,9 @@ final class TreeIndex(
     }
   }
 
-  /** Size of the implicit dense array over the full `Q(R)` (root ∅-key). */
+  /** Size of the implicit dense array over the full `Q(R)` (root ∅-key);
+    * exactly `|Q(R)|` under `Exact`.
+    */
   def fullCount: Long = {
     require(trackRoot, "fullCount requires trackFullJoin = true")
     cntOf(tree.root, Proj.emptyKey)
@@ -365,33 +474,26 @@ final class TreeIndex(
     if (retrieveKey(tree.root, Proj.emptyKey, z, out)) Some(out.toMap) else None
   }
 
-  /** Test-facing consistency check of every documented invariant:
-    * `cnt == Σ_i 2^i·|Φ_i|`, every bucket member's recomputed approximate
-    * degree matches its bucket exponent, and grouped nodes' `feq` equals the
+  /** Test-facing consistency check of every documented invariant: every
+    * member's stored degree (its bucket's `2^i`, or its Fenwick weight)
+    * equals its recomputed degree, members sit under their own key, `cnt` is
+    * the sum of the stored degrees, and grouped nodes' `feq` equals the
     * raw-list length. Throws on violation.
     */
   def checkInvariants(): Unit = {
     for (node <- nodes) {
       for ((key, ks) <- node.byKey) {
         var sum = 0L
-        val it = ks.buckets.entrySet().iterator()
-        while (it.hasNext) {
-          val e = it.next()
-          val i = e.getKey.intValue()
-          sum += (1L << i) * e.getValue.size
-          var j = 0
-          while (j < e.getValue.size) {
-            val m = e.getValue.apply(j)
-            val d = degreeOf(node, m)
-            require(d == (1L << i),
-              s"${q.name}/root=${tree.root}/rel=${node.rel}: member $m degree $d in bucket 2^$i")
-            require(Proj.key(node.memberTuple(m), node.keyIdx) == key,
-              s"member $m bucketed under wrong key")
-            j += 1
-          }
+        for ((m, w) <- ks.weights) {
+          val d = degreeOf(node, m)
+          require(d == w,
+            s"${q.name}/root=${tree.root}/rel=${node.rel}: member $m degree $d, stored $w")
+          require(Proj.key(node.memberTuple(m), node.keyIdx) == key,
+            s"member $m stored under wrong key")
+          sum += w
         }
         require(sum == ks.cnt,
-          s"${q.name}/root=${tree.root}/rel=${node.rel}/key=$key: cnt=${ks.cnt} != bucket sum $sum")
+          s"${q.name}/root=${tree.root}/rel=${node.rel}/key=$key: cnt=${ks.cnt} != stored sum $sum")
       }
       if (node.grouped) {
         var totalFeq = 0L
@@ -415,10 +517,7 @@ final class TreeIndex(
     for (node <- nodes) {
       if (node.grouped) bytes += node.gstore.approxBytes + node.feq.length * 8L
       bytes += node.byKey.size.toLong * 96L
-      for (ks <- node.byKey.valuesIterator) {
-        val it = ks.buckets.values().iterator()
-        while (it.hasNext) bytes += 64L + it.next().size.toLong * 40L
-      }
+      for (ks <- node.byKey.valuesIterator) bytes += ks.approxBytes
     }
     bytes
   }

@@ -1,10 +1,6 @@
 package repro.core.baseline
 
-import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
-
 import repro.core._
-import repro.core.Proj.{JoinRow, Tup}
 
 /** The SJoin baseline (Zhao et al., SIGMOD 2020): reservoir sampling over an
   * acyclic join with an index that maintains *exact* per-key counts.
@@ -16,228 +12,10 @@ import repro.core.Proj.{JoinRow, Tup}
   * contrasts against. Retrieval uses a Fenwick tree per (node, key) to find
   * the tuple owning a position in O(log N).
   *
-  * The root also maintains an ∅-key count, so `fullCount` is the exact
-  * `|Q(R)|` — handy as a test oracle and for the Fig. 7 join-size column.
+  * It is RSJoin's engine over [[TreeIndex]] with the `Exact` counting policy
+  * and no grouping. The root also maintains an ∅-key count, so `fullCount`
+  * is the exact `|Q(R)|` — handy as a test oracle and for the Fig. 7
+  * join-size column.
   */
-final class SJoinEngine(
-    val query: JoinQuery,
-    val k: Int,
-    seed: Long,
-    trackFullJoin: Boolean = true,
-) extends SamplingEngine {
-
-  val stores: Vector[RelationStore] = query.relations.map(new RelationStore(_))
-  val counters = new EngineCounters
-
-  private val unrootedEdges = JoinTree.unrooted(query).getOrElse(
-    throw new IllegalArgumentException(s"SJoin does not support cyclic query ${query.name}"))
-
-  val trees: Vector[SJoinTree] =
-    query.relations.indices.map { r =>
-      new SJoinTree(JoinTree.rooted(query, unrootedEdges, r), stores, counters,
-        trackRoot = trackFullJoin)
-    }.toVector
-
-  private val rng = new Rng(seed)
-  val reservoir = new BatchReservoir[JoinRow](k, rng)
-  var inserts: Long = 0L
-
-  private def updateTrees(rel: String, values: Array[Long]): Batch[JoinRow] = {
-    val r = query.relIdx.getOrElse(rel,
-      throw new IllegalArgumentException(s"unknown relation $rel in ${query.name}"))
-    val id = stores(r).insert(values)
-    var i = 0
-    while (i < trees.length) { trees(i).onInsert(r, id); i += 1 }
-    inserts += 1
-    trees(r).deltaBatch(id)
-  }
-
-  def insert(rel: String, values: Array[Long]): Unit =
-    reservoir.update(updateTrees(rel, values))
-
-  def updateIndexOnly(rel: String, values: Array[Long]): Unit = {
-    updateTrees(rel, values); ()
-  }
-
-  def sample: Seq[JoinRow] = reservoir.sample.toSeq
-  def propagations: Long = counters.propagations
-
-  /** Exact `|Q(R)|` (tree 0's root ∅-key count). */
-  def fullCount: Long = trees(0).fullCount
-
-  def approxBytes: Long = stores.map(_.approxBytes).sum + trees.map(_.approxBytes).sum
-}
-
-/** Exact-count index for one rooted tree (the SJoin counterpart of
-  * [[repro.core.TreeIndex]]).
-  */
-final class SJoinTree(
-    val tree: RootedTree,
-    stores: Vector[RelationStore],
-    counters: EngineCounters,
-    trackRoot: Boolean = true,
-) extends Serializable {
-
-  private val q = tree.query
-  private val n = q.arity
-
-  final class KeyStateX extends Serializable {
-    var cnt: Long = 0L // exact: Σ member weights
-    val members = new ArrayBuffer[Int](4)
-    val memberPos = mutable.HashMap.empty[Int, Int]
-    val fen = new Fenwick
-  }
-
-  final class Node(val rel: Int) extends Serializable {
-    val isRoot: Boolean = rel == tree.root
-    val children: Array[Int] = tree.children(rel).toArray
-    val keyAttrs: Vector[String] = tree.key(rel)
-    val schema: RelSchema = q.relations(rel)
-    val keyIdx: Array[Int] = schema.idxOf(keyAttrs)
-    val childKeyIdx: Array[Array[Int]] = children.map(c => schema.idxOf(tree.key(c)))
-    val byKey = mutable.HashMap.empty[IndexedSeq[Long], KeyStateX]
-  }
-
-  val nodes: Array[Node] = Array.tabulate(n)(new Node(_))
-
-  for (node <- nodes if !node.isRoot)
-    stores(tree.parent(node.rel)).ensureIndex(node.keyAttrs)
-
-  def cntOf(rel: Int, key: IndexedSeq[Long]): Long =
-    nodes(rel).byKey.get(key).map(_.cnt).getOrElse(0L)
-
-  private def weightOf(node: Node, tupId: Int): Long = {
-    val t = stores(node.rel).tuples(tupId)
-    var w = 1L
-    var i = 0
-    while (w > 0 && i < node.children.length) {
-      w = Pow2.mulCap(w, cntOf(node.children(i), Proj.key(t, node.childKeyIdx(i))))
-      i += 1
-    }
-    w
-  }
-
-  /** Eager exact update: re-weigh the tuple, adjust the key count, and
-    * propagate to *all* matching parent tuples on every change.
-    */
-  private def update(node: Node, tupId: Int, oldW: Long): Unit = {
-    val t = stores(node.rel).tuples(tupId)
-    val newW = weightOf(node, tupId)
-    val key = Proj.key(t, node.keyIdx)
-    val ks = node.byKey.getOrElseUpdate(key, new KeyStateX)
-    ks.memberPos.get(tupId) match {
-      case Some(p) => if (newW != oldW) ks.fen.add(p, newW - oldW)
-      case None =>
-        ks.memberPos(tupId) = ks.members.length
-        ks.members += tupId
-        ks.fen.append(newW)
-    }
-    val oldCnt = ks.cnt
-    ks.cnt += newW - oldW
-    if (ks.cnt != oldCnt && !node.isRoot &&
-        (trackRoot || !nodes(tree.parent(node.rel)).isRoot)) {
-      val parent = nodes(tree.parent(node.rel))
-      val members = stores(parent.rel).lookup(node.keyAttrs, key)
-      var m = 0
-      while (m < members.length) {
-        val pid = members(m)
-        counters.propagations += 1
-        val pt = stores(parent.rel).tuples(pid)
-        var oldDeg = 1L
-        var ci = 0
-        while (oldDeg > 0 && ci < parent.children.length) {
-          val c = parent.children(ci)
-          val factor =
-            if (c == node.rel) oldCnt
-            else cntOf(c, Proj.key(pt, parent.childKeyIdx(ci)))
-          oldDeg = Pow2.mulCap(oldDeg, factor)
-          ci += 1
-        }
-        update(parent, pid, oldDeg)
-        m += 1
-      }
-    }
-  }
-
-  def onInsert(rel: Int, tupId: Int): Unit = {
-    val node = nodes(rel)
-    if (node.isRoot && !trackRoot) () // the paper's index holds no root state
-    else update(node, tupId, 0L)
-  }
-
-  private def putAttrs(out: mutable.HashMap[String, Long], schema: RelSchema, t: Tup): Unit = {
-    var i = 0
-    while (i < schema.arity) { out(schema.attrs(i)) = t(i); i += 1 }
-  }
-
-  /** Retrieve position z under `key` at `rel` — exact, never a dummy. */
-  private def retrieveKey(rel: Int, key: IndexedSeq[Long], z: Long,
-                          out: mutable.HashMap[String, Long]): Unit = {
-    val node = nodes(rel)
-    val ks = node.byKey(key)
-    val (slot, ell) = ks.fen.search(z)
-    retrieveRaw(node, stores(rel).tuples(ks.members(slot)), ell, out)
-  }
-
-  private def retrieveRaw(node: Node, t: Tup, z: Long,
-                          out: mutable.HashMap[String, Long]): Unit = {
-    putAttrs(out, node.schema, t)
-    var rem = z
-    var ci = node.children.length - 1
-    while (ci >= 0) {
-      val c = node.children(ci)
-      val size = cntOf(c, Proj.key(t, node.childKeyIdx(ci)))
-      retrieveKey(c, Proj.key(t, node.childKeyIdx(ci)), rem % size, out)
-      rem /= size
-      ci -= 1
-    }
-  }
-
-  /** Exact delta batch (1-dense) for a tuple just inserted at the root. */
-  def deltaBatch(tupId: Int): Batch[JoinRow] = {
-    val node = nodes(tree.root)
-    val t = stores(tree.root).tuples(tupId)
-    val m = node.children.length
-    val sizes = new Array[Long](m)
-    var total = 1L
-    var ci = 0
-    while (ci < m) {
-      sizes(ci) = cntOf(node.children(ci), Proj.key(t, node.childKeyIdx(ci)))
-      total = Pow2.mulCap(total, sizes(ci))
-      ci += 1
-    }
-    val tot = total
-    new Batch[JoinRow] {
-      val size: Long = tot
-      def retrieve(z: Long): Option[JoinRow] = {
-        val out = mutable.HashMap.empty[String, Long]
-        putAttrs(out, node.schema, t)
-        var rem = z
-        var i = m - 1
-        while (i >= 0) {
-          val zi = rem % sizes(i)
-          rem /= sizes(i)
-          retrieveKey(node.children(i), Proj.key(t, node.childKeyIdx(i)), zi, out)
-          i -= 1
-        }
-        Some(out.toMap)
-      }
-    }
-  }
-
-  /** Exact `|Q(R)|`. */
-  def fullCount: Long = {
-    require(trackRoot, "fullCount requires trackFullJoin = true")
-    cntOf(tree.root, Proj.emptyKey)
-  }
-
-  def approxBytes: Long = {
-    var bytes = 0L
-    for (node <- nodes) {
-      bytes += node.byKey.size.toLong * 96L
-      for (ks <- node.byKey.valuesIterator)
-        bytes += ks.members.length.toLong * (8L + 48L + 8L) // slot + pos entry + fenwick cell
-    }
-    bytes
-  }
-}
+final class SJoinEngine(query: JoinQuery, k: Int, seed: Long, trackFullJoin: Boolean = true)
+    extends ReservoirJoinEngine(query, k, seed, false, trackFullJoin, CountPolicy.Exact)

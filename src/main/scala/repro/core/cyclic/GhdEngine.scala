@@ -129,18 +129,6 @@ final class GhdEngine(
     }
   }
 
-  def updateIndexOnly(rel: String, values: Array[Long]): Unit = {
-    val ni = owner(rel)
-    val nd = ghdNodes(ni)
-    val deltas = nd.insert(rel, values)
-    var i = 0
-    while (i < deltas.length) {
-      inner.updateIndexOnly(nd.output.name, deltas(i))
-      simulatedInserts += 1
-      i += 1
-    }
-  }
-
   def sample: Seq[JoinRow] = inner.sample
   def propagations: Long = inner.propagations
   def approxBytes: Long = inner.approxBytes + ghdNodes.map(_.approxBytes).sum

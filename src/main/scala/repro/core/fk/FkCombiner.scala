@@ -82,22 +82,25 @@ final class FkCombiner(val baseQuery: JoinQuery, fks: Seq[FkSpec]) extends Seria
     enumerators.iterator.filter(_ != null).map(_.stores.map(_.approxBytes).sum).sum
 }
 
-/** A [[SamplingEngine]] wrapped behind foreign-key combination. */
+/** An RSJoin or SJoin engine wrapped behind foreign-key combination. */
 final class FkEngine(
     val combiner: FkCombiner,
-    val inner: SamplingEngine,
+    val inner: ReservoirJoinEngine,
 ) extends SamplingEngine {
 
-  def insert(rel: String, values: Array[Long]): Unit = {
-    val ts = combiner.translate(rel, values)
-    var i = 0
-    while (i < ts.length) { inner.insert(ts(i)._1, ts(i)._2); i += 1 }
-  }
+  def insert(rel: String, values: Array[Long]): Unit = forward(rel, values, sample = true)
 
-  def updateIndexOnly(rel: String, values: Array[Long]): Unit = {
+  /** Index maintenance only (the update-only column of Fig. 9). */
+  def updateOnly(rel: String, values: Array[Long]): Unit = forward(rel, values, sample = false)
+
+  /** Translate one base insert and hand each combined tuple to the inner engine. */
+  private def forward(rel: String, values: Array[Long], sample: Boolean): Unit = {
     val ts = combiner.translate(rel, values)
     var i = 0
-    while (i < ts.length) { inner.updateIndexOnly(ts(i)._1, ts(i)._2); i += 1 }
+    while (i < ts.length) {
+      if (sample) inner.insert(ts(i)._1, ts(i)._2) else inner.updateOnly(ts(i)._1, ts(i)._2)
+      i += 1
+    }
   }
 
   def sample: Seq[JoinRow] = inner.sample

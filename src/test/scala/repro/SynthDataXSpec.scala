@@ -1,17 +1,9 @@
 package repro
 
-import org.apache.spark.sql.functions._
-
 import repro.data.StreamGen
 import repro.queries.Queries
 
 class SynthDataXSpec extends SparkSpec {
-
-  test("provided SynthData generators still work at SF=0.01") {
-    assert(SynthData.lineitem(spark, 0.01).count() === 60000L)
-    assert(SynthData.orders(spark, 0.01).count() === 15000L)
-    assert(SynthData.customer(spark, 0.01).columns.contains("c_mktsegment"))
-  }
 
   test("graphEdges is deterministic, distinct, loop-free") {
     val a = StreamGen.graphEdges(500, 100, 7)
@@ -60,7 +52,7 @@ class SynthDataXSpec extends SparkSpec {
     val sparkCount = spark.sql(sql).count()
     // Cross-check against the exact streaming count from the SJoin index.
     val sj = new repro.core.baseline.SJoinEngine(Queries.lineK(3), 1, 1)
-    stream.foreach { case (r, t) => sj.updateIndexOnly(r, t) }
+    stream.foreach { case (r, t) => sj.updateOnly(r, t) }
     assert(sparkCount === sj.fullCount)
   }
 
@@ -84,11 +76,5 @@ class SynthDataXSpec extends SparkSpec {
       val all = (w.preload ++ w.stream).map { case (r, t) => (r, t.toSeq) }
       assert(all.distinct.size === all.size, s"${w.name} has duplicate tuples")
     }
-  }
-
-  test("zipfKeys from provided SynthData is skewed toward low keys") {
-    val df = SynthData.zipfKeys(spark, 20000, 1000)
-    val top = df.groupBy("k").count().orderBy(desc("count")).first()
-    assert(top.getLong(0) <= 3, s"top key ${top.getLong(0)} not among the smallest")
   }
 }

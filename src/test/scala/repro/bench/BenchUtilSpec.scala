@@ -26,7 +26,7 @@ class BenchUtilSpec extends SparkSpec {
     val es = StreamGen.graphEdges(200, 60, 3)
     val w = StreamGen.lineK(3, es, 3)
     val e = new ReservoirJoinEngine(w.query, 10, 1)
-    val r = BenchUtil.feedTimed(e, w.stream, budgetSec = 60)
+    val r = BenchUtil.feedTimed(e.insert, w.stream, budgetSec = 60)
     assert(!r.dnf)
     assert(r.processed === w.stream.size)
     assert(r.total === w.stream.size)
@@ -37,7 +37,7 @@ class BenchUtilSpec extends SparkSpec {
     val es = StreamGen.graphEdges(3000, 800, 3)
     val w = StreamGen.lineK(3, es, 3)
     val e = new ReservoirJoinEngine(w.query, 10, 1)
-    val r = BenchUtil.feedTimed(e, w.stream, budgetSec = 0.0)
+    val r = BenchUtil.feedTimed(e.insert, w.stream, budgetSec = 0.0)
     assert(r.dnf)
     assert(r.processed < r.total)
     assert(r.pretty.startsWith("DNF"))
@@ -47,7 +47,7 @@ class BenchUtilSpec extends SparkSpec {
     val es = StreamGen.graphEdges(300, 60, 5)
     val w = StreamGen.lineK(3, es, 5)
     val sj = new repro.core.baseline.SJoinEngine(w.query, 1, 1)
-    w.stream.foreach { case (r, t) => sj.updateIndexOnly(r, t) }
+    w.stream.foreach { case (r, t) => sj.updateOnly(r, t) }
     assert(Experiments.line3JoinSize(w.stream) === sj.fullCount)
   }
 

@@ -4,12 +4,12 @@ import scala.collection.mutable
 
 import repro.core.Proj.JoinRow
 
-/** Shared deterministic test harness: feed a stream into the RSJoin index and
-  * a brute-force [[DeltaEnumerator]] side by side; after every insert,
-  * enumerate the implicit `ΔJ` position by position and require exact
-  * agreement with the brute-force delta, plus the density bound and all
-  * structural invariants. This exercises Algorithms 7–11 with zero reliance
-  * on statistics.
+/** Shared deterministic test harness: feed a stream into an RSJoin or SJoin
+  * index and a brute-force [[DeltaEnumerator]] side by side; after every
+  * insert, enumerate the implicit `ΔJ` position by position and require exact
+  * agreement with the brute-force delta, plus the density bound (`ΔJ = ΔQ`
+  * under exact counts) and all structural invariants. This exercises
+  * Algorithms 7–11 with zero reliance on statistics.
   */
 object IndexHarness {
 
@@ -38,16 +38,18 @@ object IndexHarness {
 
   final case class Result(totalJoin: Long, maxBatch: Long)
 
-  /** Run the side-by-side comparison; returns the final |Q(R)|.
+  /** Run the side-by-side comparison on a fresh `engine`; returns the final
+    * |Q(R)|, or -1 if some batch was not enumerated.
     *
     * Batches larger than `enumCap` positions are skipped (wide queries on
     * tiny domains explode combinatorially); the full-join enumeration check
     * runs only when `|J|` stays below `fullCap`.
     */
-  def compare(query: JoinQuery, stream: Seq[(String, Array[Long])],
-              grouping: Boolean, checkInvariantsEvery: Int = 10,
+  def compare(engine: ReservoirJoinEngine, stream: Seq[(String, Array[Long])],
+              checkInvariantsEvery: Int = 10,
               enumCap: Long = 50000L, fullCap: Long = 200000L): Result = {
-    val engine = new ReservoirJoinEngine(query, 1, seed = 7, grouping)
+    val query = engine.query
+    val exact = engine.trees(0).policy == CountPolicy.Exact
     val brute = new DeltaEnumerator(query)
     val m = query.arity
     val phi = math.pow(0.5, 2 * m - 2)
@@ -66,8 +68,12 @@ object IndexHarness {
         assert(got.toSet == expected.toSet,
           s"step $step ($rel): batch mismatch\n got=${got.toSet.take(5)}\n exp=${expected.toSet.take(5)}\n" +
             s" sizes got=${got.size} exp=${expected.size} batch=${batch.size}")
-        assert(got.size.toDouble >= phi * batch.size - 1e-9,
-          s"step $step: density ${got.size}/${batch.size} below bound $phi")
+        if (exact)
+          assert(batch.size == expected.size.toLong,
+            s"step $step ($rel): exact |ΔJ| ${batch.size} != |ΔQ| ${expected.size}")
+        else
+          assert(got.size.toDouble >= phi * batch.size - 1e-9,
+            s"step $step: density ${got.size}/${batch.size} below bound $phi")
         total += expected.size
       } else {
         // Keep the brute-force store in sync without materializing the delta.

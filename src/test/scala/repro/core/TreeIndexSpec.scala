@@ -26,7 +26,7 @@ class TreeIndexSpec extends SparkSpec {
     test(s"ΔJ enumeration matches brute force: $name, domain $domain") {
       TestKit.forCases(3, seed0 = name.hashCode + domain) { rng =>
         val stream = IndexHarness.randomStream(q, steps = 120, domain, rng)
-        IndexHarness.compare(q, stream, grouping = false)
+        IndexHarness.compare(new ReservoirJoinEngine(q, 1, 7), stream)
       }
     }
   }
@@ -39,7 +39,7 @@ class TreeIndexSpec extends SparkSpec {
         val steps = if (q.arity > 8) 70 else 120
         val domain = if (q.arity > 8) 4 else 3
         val stream = IndexHarness.randomStream(q, steps, domain, rng, payload)
-        IndexHarness.compare(q, stream, grouping = true)
+        IndexHarness.compare(new ReservoirJoinEngine(q, 1, 7, grouping = true), stream)
       }
     }
   }
