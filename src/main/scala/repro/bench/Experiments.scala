@@ -221,7 +221,8 @@ object Experiments {
       val engine = mk()
       val r = feedTimed(engine.insert, all, s.budgetSec * 3)
       val r2 = feedTimed(updateOnly(), all, s.budgetSec * 3)
-      rows += Seq(name, engine.propagations.toString, r.pretty, r2.pretty)
+      rows += Seq(name, engine.propagations.toString, engine.edgePropagations.toString,
+        r.pretty, r2.pretty)
     }
     def plain() = new ReservoirJoinEngine(w.query, s.kRel, s.seed, trackFullJoin = false)
     def opt(grouping: Boolean) =
@@ -229,7 +230,8 @@ object Experiments {
     row("N/A", () => plain(), () => plain().updateOnly)
     row("Foreign-key", () => opt(false), () => opt(false).updateOnly)
     row("Foreign-key + Grouping", () => opt(true), () => opt(true).updateOnly)
-    renderTable(Seq("optimizations", "#propagations", "run-time", "update-only"), rows.toSeq)
+    renderTable(Seq("optimizations", "#propagations", "#edge propagations", "run-time",
+      "update-only"), rows.toSeq)
   }
 
   // -------------------------------------------------------------------------

@@ -3,19 +3,17 @@ package repro.core
 /** Power-of-two arithmetic for the approximate-degree machinery of Section 4.
   *
   * Degrees (`cnt~` values) are always 0 or an exact power of two; products of
-  * degrees can overflow Long for wide queries on large data, so multiplication
-  * saturates at 2^61 (itself a power of two, keeping bucket exponents exact).
-  * Saturation is counted so tests can assert it never fires at test scale.
+  * degrees can overflow Long for wide queries on large data, so
+  * multiplication fails loudly past 2^61: a capped degree or `|ΔJ|` would
+  * bias the sample without a trace.
   */
 object Pow2 {
 
-  /** Saturation ceiling: a power of two small enough that sums of a few
-    * saturated values still cannot overflow Long.
+  /** The largest product `mulCap` returns, and where `ceilPow2` saturates:
+    * a power of two small enough that sums of a few such values still
+    * cannot overflow Long.
     */
   val Cap: Long = 1L << 61
-
-  /** Number of multiplications that hit the saturation cap (diagnostics). */
-  @volatile var saturations: Long = 0L
 
   /** Smallest power of two ≥ x (x ≥ 1). ceilPow2(0) = 0 by convention:
     * an empty subtree contributes no join results and lives in no bucket.
@@ -36,12 +34,13 @@ object Pow2 {
     java.lang.Long.numberOfTrailingZeros(x)
   }
 
-  /** Saturating product; both operands non-negative. Preserves the
-    * power-of-two invariant when the operands are powers of two.
+  /** Product of two non-negative counts, at most `Cap`.
+    *
+    * @throws ArithmeticException if the product exceeds `Cap`
     */
   def mulCap(a: Long, b: Long): Long = {
     if (a == 0 || b == 0) 0L
-    else if (a > Cap / b) { saturations += 1; Cap }
+    else if (a > Cap / b) throw new ArithmeticException(s"count product $a * $b exceeds 2^61")
     else a * b
   }
 }

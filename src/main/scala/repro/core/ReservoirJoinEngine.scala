@@ -4,10 +4,13 @@ import Proj.JoinRow
 
 /** RSJoin (Algorithm 6): reservoir sampling over an acyclic join.
   *
-  * One [[TreeIndex]] is maintained per relation (the tree rooted at that
-  * relation generates the delta batch when a tuple arrives there). Each
-  * insert updates every tree in O(log N) amortized, then feeds the implicit
-  * `ΔJ` batch into the predicate-enabled batched reservoir.
+  * Algorithm 6 indexes the join tree rooted at each relation (that tree
+  * generates the delta batch when a tuple arrives there). The rooted trees
+  * share their node states through one [[EdgeIndex]], which keeps a state
+  * per directed join-tree edge; `trees` holds one [[TreeIndex]] view per
+  * relation. Each insert updates the shared states in O(log N) amortized,
+  * then feeds the implicit `ΔJ` batch of the tree rooted at the tuple's
+  * relation into the predicate-enabled batched reservoir.
   *
   * The engine is serializable end-to-end so the Spark streaming operator can
   * keep it in the state store between micro-batches.
@@ -34,11 +37,11 @@ class ReservoirJoinEngine private[core] (
     throw new IllegalArgumentException(
       s"query ${query.name} is cyclic — use the GHD engine (Section 5)"))
 
-  val trees: Vector[TreeIndex] =
-    query.relations.indices.map { r =>
-      new TreeIndex(JoinTree.rooted(query, unrootedEdges, r), stores, grouping,
-        counters, trackFullJoin, policy)
-    }.toVector
+  val index = new EdgeIndex(query, unrootedEdges, stores, grouping, counters, trackFullJoin, policy)
+
+  val trees: Vector[TreeIndex] = query.relations.indices.map { r =>
+    new TreeIndex(JoinTree.rooted(query, unrootedEdges, r), index)
+  }.toVector
 
   val rng = new Rng(seed)
   val reservoir = new BatchReservoir[JoinRow](k, rng)
@@ -51,10 +54,9 @@ class ReservoirJoinEngine private[core] (
     val r = query.relIdx.getOrElse(rel,
       throw new IllegalArgumentException(s"unknown relation $rel in ${query.name}"))
     val id = stores(r).insert(values)
-    var i = 0
-    while (i < trees.length) { trees(i).onInsert(r, id); i += 1 }
+    index.onInsert(r, id)
     inserts += 1
-    trees(r).deltaBatch(id)
+    index.deltaBatch(r, id)
   }
 
   /** Full Algorithm 6 step: update the index, then sample the delta batch. */
@@ -62,6 +64,7 @@ class ReservoirJoinEngine private[core] (
     reservoir.update(updateOnly(rel, values))
 
   def propagations: Long = counters.propagations
+  def edgePropagations: Long = counters.edgePropagations
 
   /** Current reservoir contents (uniform k-sample of `Q(R)` w/o replacement). */
   def sample: Seq[JoinRow] = reservoir.sample.toSeq
@@ -72,8 +75,7 @@ class ReservoirJoinEngine private[core] (
   def fullCount: Long = trees(0).fullCount
 
   /** Structure-proportional memory estimate (Fig. 11). */
-  def approxBytes: Long =
-    stores.map(_.approxBytes).sum + trees.map(_.approxBytes).sum
+  def approxBytes: Long = stores.map(_.approxBytes).sum + index.approxBytes
 }
 
 /** Dynamic sampling over the full join (operation (2) of Theorem 4.2):

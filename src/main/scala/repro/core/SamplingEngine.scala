@@ -14,8 +14,15 @@ trait SamplingEngine extends Serializable {
   /** Current uniform sample (≤ k rows) of the join results so far. */
   def sample: Seq[JoinRow]
 
-  /** Executions of the update-propagation loop so far (Fig. 9 metric). */
+  /** Executions of the update-propagation loop so far, counted once per
+    * rooted tree that holds the updated state (Fig. 9 metric).
+    */
   def propagations: Long
+
+  /** Executions of the update-propagation loop on the shared per-edge index
+    * states: the updates actually performed.
+    */
+  def edgePropagations: Long
 
   /** Structure-proportional memory estimate in bytes (Fig. 11 metric). */
   def approxBytes: Long

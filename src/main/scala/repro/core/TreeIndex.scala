@@ -10,14 +10,20 @@ import repro.core.baseline.Fenwick
 
 /** Shared instrumentation across the rooted trees of one engine. */
 final class EngineCounters extends Serializable {
-  /** Executions of the propagation loop (lines 9–11 of Algorithm 7) — the
-    * quantity reported in the Fig. 9 optimizations table.
+  /** Executions of the propagation loop (lines 9–11 of Algorithm 7), counted
+    * tree by tree as if each rooted tree kept its own copy of every state —
+    * the quantity reported in the Fig. 9 optimizations table.
     */
   var propagations: Long = 0L
+
+  /** Executions of the propagation loop on the shared per-edge states: the
+    * member updates actually performed.
+    */
+  var edgePropagations: Long = 0L
 }
 
 /** One position-addressable bucket `Φ_i` of Section 4: the member ids
-  * (tuple ids, or group ids for grouped nodes) whose approximate degree is
+  * (tuple ids, or group ids for grouped states) whose approximate degree is
   * `2^i`. Supports O(1) append, O(1) swap-remove, O(1) positional access.
   */
 final class Bucket extends Serializable {
@@ -36,9 +42,9 @@ final class Bucket extends Serializable {
   }
 }
 
-/** Per-key state of one node: the exact sum `cnt` of its members' degrees,
-  * and the structure that maps a position in `[0, cnt)` to the member owning
-  * it. The index's [[CountPolicy]] picks the structure.
+/** Per-key state of one [[EdgeState]]: the exact sum `cnt` of its members'
+  * degrees, and the structure that maps a position in `[0, cnt)` to the
+  * member owning it. The index's [[CountPolicy]] picks the structure.
   */
 sealed abstract class KeyState extends Serializable {
   var cnt: Long = 0L
@@ -173,22 +179,102 @@ private[core] object CountPolicy {
   }
 }
 
-/** The dynamic index of Section 4 for one rooted join tree, under a
-  * [[CountPolicy]]: `Pow2` for RSJoin, `Exact` for the SJoin baseline.
+/** The index state of relation `rel` under parent `parent`, i.e. of the
+  * directed join-tree edge `rel→parent`. Section 4 keeps a node state per
+  * rooted tree, but it depends only on this edge, so every rooted tree in
+  * which `parent` is `rel`'s parent shares this one object. With
+  * `parent = -1` it is `rel`'s root state: unlike the paper (whose root holds
+  * no structure), it counts `Q(R)` under the empty key, which backs
+  * [[FullJoinSampler]] (operation (2) of Theorem 4.2); it exists only with
+  * full-join tracking.
   *
-  * Unlike the paper (whose root holds no structure), the root also maintains
-  * a key state under the empty key, so `cnt[T, root, ()]` is the size of a
-  * dense implicit array over the *full* `Q(R)` — this is what backs
-  * [[FullJoinSampler]] (operation (2) of Theorem 4.2). Propagation into the
-  * root costs the same amortized O(log N) as any other node.
+  * The key is `attrs(rel) ∩ attrs(parent)`; the children are the states
+  * `c→rel` of `rel`'s other neighbours `c`, in relation-index order. With
+  * `grouping`, a non-root state whose attributes strictly contain the join
+  * attributes `ē = key ∪ ⋃ key(child)` operates on the grouped view `π_ē R`
+  * with multiplicities `feq` (Section 4.4, Algorithms 10–11).
   *
-  * With `grouping` enabled, non-root internal nodes whose attributes strictly
-  * contain the join attributes `ē = key(e) ∪ ⋃ key(child)` operate on the
-  * grouped view `π_ē R_e` with multiplicities `feq` (Section 4.4,
-  * Algorithms 10–11).
+  * @param treeCount how many rooted trees hold this state
+  * @param owner     the lowest-indexed of those trees' roots
   */
-final class TreeIndex(
-    val tree: RootedTree,
+final class EdgeState private[core] (
+    val rel: Int,
+    val parent: Int,
+    val children: Array[EdgeState],
+    val keyAttrs: Vector[String],
+    private[core] val store: RelationStore,
+    grouping: Boolean,
+    val treeCount: Int,
+    val owner: Int,
+) extends Serializable {
+  val isRoot: Boolean = parent < 0
+  val baseSchema: RelSchema = store.schema
+
+  /** Join attributes ē (in base-schema order). */
+  val groupAttrs: Vector[String] = {
+    val needed = keyAttrs.toSet ++ children.flatMap(_.keyAttrs)
+    baseSchema.attrs.filter(needed.contains)
+  }
+
+  val grouped: Boolean =
+    grouping && !isRoot && children.nonEmpty && groupAttrs.size < baseSchema.arity
+
+  /** Schema of member tuples: the grouped view π_ē R, or R itself. */
+  val memberSchema: RelSchema =
+    if (grouped) RelSchema(baseSchema.name + "#g", groupAttrs) else baseSchema
+
+  /** Group-view storage (grouped states only). */
+  val gstore: RelationStore = if (grouped) new RelationStore(memberSchema) else null
+  val feq: ArrayBuffer[Long] = if (grouped) new ArrayBuffer[Long] else null
+  val groupIdOf: mutable.HashMap[IndexedSeq[Long], Int] =
+    if (grouped) mutable.HashMap.empty else null
+
+  /** The members: group-view tuples, or base tuples. */
+  val memberStore: RelationStore = if (grouped) gstore else store
+
+  // Projection position arrays, compiled once.
+  val keyIdx: Array[Int] = memberSchema.idxOf(keyAttrs)
+  val childKeyIdx: Array[Array[Int]] = children.map(c => memberSchema.idxOf(c.keyAttrs))
+  val rawChildKeyIdx: Array[Array[Int]] = children.map(c => baseSchema.idxOf(c.keyAttrs))
+  val groupIdx: Array[Int] = baseSchema.idxOf(groupAttrs)
+
+  val byKey = mutable.HashMap.empty[IndexedSeq[Long], KeyState]
+
+  /** The states this one is a child of (`parent→x` for every `x ≠ rel`, and
+    * `parent`'s root state), with this state's slot among their children:
+    * a change of this state's `cnt~` is a message to each of them.
+    */
+  private[core] var targets: Array[EdgeState] = Array.empty
+  private[core] var targetSlots: Array[Int] = Array.empty
+
+  // Propagation looks members up by each child's key; grouped states also
+  // look up the raw tuples of a group by ē.
+  for (c <- children) memberStore.ensureIndex(c.keyAttrs)
+  if (grouped) store.ensureIndex(groupAttrs)
+
+  def memberTuple(id: Int): Tup = memberStore.tuples(id)
+}
+
+/** The dynamic index of Section 4 for all rooted join trees of an acyclic
+  * query at once, under a [[CountPolicy]]: `Pow2` for RSJoin, `Exact` for
+  * the SJoin baseline.
+  *
+  * It keeps one [[EdgeState]] per directed join-tree edge `e→p` — `e`'s
+  * state in every tree where `p` is `e`'s parent — plus, with `trackRoot`,
+  * one root state per relation, rather than a copy per rooted tree (the view
+  * tree of Dynamic Yannakakis and F-IVM). An insert into `r` updates each of
+  * r's states. A change of `cnt~` at `c→p` is a message that updates the
+  * matching members of every `p→x` with `x ≠ c` and of `p`'s root state,
+  * depth-first. Each state thus sees the same reweighs, in the same order,
+  * as each of its per-tree copies would have. [[TreeIndex]] is one rooted
+  * tree's view of it.
+  *
+  * `counters.propagations` keeps Fig. 9's tree-by-tree count: an update of a
+  * member of a state counts once per tree holding the state.
+  */
+final class EdgeIndex private[core] (
+    query: JoinQuery,
+    edges: Vector[(Int, Int)],
     stores: Vector[RelationStore],
     grouping: Boolean,
     counters: EngineCounters,
@@ -196,164 +282,176 @@ final class TreeIndex(
     private[core] val policy: CountPolicy,
 ) extends Serializable {
 
-  private val q = tree.query
-  private val n = q.arity
+  private val n = query.arity
 
   /** Second result of [[KeyState.locate]]. */
   private val offset = new Array[Long](1)
 
-  final class Node(val rel: Int) extends Serializable {
-    val isRoot: Boolean = rel == tree.root
-    val children: Array[Int] = tree.children(rel).toArray
-    val keyAttrs: Vector[String] = tree.key(rel)
-    val baseSchema: RelSchema = q.relations(rel)
-
-    /** Join attributes ē (in base-schema order). */
-    val groupAttrs: Vector[String] = {
-      val needed = keyAttrs.toSet ++ children.flatMap(c => tree.key(c))
-      baseSchema.attrs.filter(needed.contains)
-    }
-
-    val grouped: Boolean =
-      grouping && !isRoot && children.nonEmpty && groupAttrs.size < baseSchema.arity
-
-    /** Schema of member tuples: the grouped view π_ē R_e, or R_e itself. */
-    val memberSchema: RelSchema =
-      if (grouped) RelSchema(baseSchema.name + "#g", groupAttrs) else baseSchema
-
-    /** Group-view storage (grouped nodes only). */
-    val gstore: RelationStore = if (grouped) new RelationStore(memberSchema) else null
-    val feq: ArrayBuffer[Long] = if (grouped) new ArrayBuffer[Long] else null
-    val groupIdOf: mutable.HashMap[IndexedSeq[Long], Int] =
-      if (grouped) mutable.HashMap.empty else null
-
-    // Projection position arrays, compiled once.
-    val keyIdx: Array[Int] = memberSchema.idxOf(keyAttrs)
-    val childKeyIdx: Array[Array[Int]] = children.map(c => memberSchema.idxOf(tree.key(c)))
-    val rawChildKeyIdx: Array[Array[Int]] = children.map(c => baseSchema.idxOf(tree.key(c)))
-    val groupIdx: Array[Int] = baseSchema.idxOf(groupAttrs)
-
-    val byKey = mutable.HashMap.empty[IndexedSeq[Long], KeyState]
-
-    def memberTuple(id: Int): Tup =
-      if (grouped) gstore.tuples(id) else stores(rel).tuples(id)
+  /** Join-tree neighbours of each relation, in relation-index order. */
+  private val nbrs: Array[Vector[Int]] = Array.tabulate(n) { v =>
+    edges.collect { case (a, b) if a == v => b; case (a, b) if b == v => a }.sorted
   }
 
-  val nodes: Array[Node] = Array.tabulate(n)(new Node(_))
+  /** The relations on `e`'s side of the edge `{e, p}`. */
+  private def side(e: Int, p: Int): Vector[Int] = e +: nbrs(e).filter(_ != p).flatMap(side(_, e))
 
-  // Register the hash indexes each node needs:
-  //  - the parent's member store, keyed by key(child), for update propagation;
-  //  - for grouped nodes, the base store keyed by ē (the per-group raw lists).
-  for (node <- nodes) {
-    if (!node.isRoot) {
-      val parent = nodes(tree.parent(node.rel))
-      val pStore = if (parent.grouped) parent.gstore else stores(parent.rel)
-      pStore.ensureIndex(node.keyAttrs)
-    }
-    if (node.grouped) stores(node.rel).ensureIndex(node.groupAttrs)
+  private val byEdge = mutable.HashMap.empty[(Int, Int), EdgeState]
+
+  /** State `e→p`, built with the states below it on first use; the trees
+    * holding it are those rooted on `p`'s side.
+    */
+  private def edgeState(e: Int, p: Int): EdgeState = byEdge.get((e, p)) match {
+    case Some(s) => s
+    case None =>
+      val s = newState(e, p, side(p, e))
+      byEdge((e, p)) = s
+      s
   }
 
-  /** The exact `cnt[T, e, t]` — 0 when the key is absent. */
-  def cntOf(rel: Int, key: IndexedSeq[Long]): Long = {
-    val ks = nodes(rel).byKey.getOrElse(key, null)
+  private def newState(e: Int, p: Int, roots: Vector[Int]): EdgeState = {
+    val keyAttrs =
+      if (p < 0) Vector.empty[String]
+      else { val pAttrs = query.relations(p).attrs.toSet; query.relations(e).attrs.filter(pAttrs) }
+    val children = nbrs(e).filter(_ != p).map(edgeState(_, e)).toArray
+    new EdgeState(e, p, children, keyAttrs, stores(e), grouping, roots.size, roots.min)
+  }
+
+  private val rootStates: Array[EdgeState] =
+    Array.tabulate(n)(r => if (trackRoot) newState(r, -1, Vector(r)) else null)
+
+  /** Each relation's states: `r→p` for every neighbour `p`, then its root state. */
+  private val statesOf: Array[Array[EdgeState]] =
+    Array.tabulate(n)(r => (nbrs(r).map(edgeState(r, _)) ++ Option(rootStates(r))).toArray)
+
+  /** Every state, once: `2(n−1)` edge states, plus `n` root states with
+    * full-join tracking.
+    */
+  val states: Vector[EdgeState] = statesOf.toVector.flatten
+
+  for (s <- states; slot <- s.children.indices) {
+    val c = s.children(slot)
+    c.targets :+= s
+    c.targetSlots :+= slot
+  }
+
+  /** The states `c→r` below relation `r` as a root, and where their keys
+    * sit in r's tuples: the factors of `ΔJ` for a tuple inserted into r.
+    */
+  private val rootChildren: Array[Array[EdgeState]] =
+    Array.tabulate(n)(r => nbrs(r).map(edgeState(_, r)).toArray)
+  private val rootChildKeyIdx: Array[Array[Array[Int]]] =
+    Array.tabulate(n)(r => rootChildren(r).map(c => query.relations(r).idxOf(c.keyAttrs)))
+
+  /** State `e→p`, or `e`'s root state for `p = -1` (null without full-join
+    * tracking).
+    */
+  private[core] def state(e: Int, p: Int): EdgeState = if (p < 0) rootStates(e) else byEdge((e, p))
+
+  /** The exact `cnt[e→p, t]` — 0 when the key is absent. */
+  private def cntOf(s: EdgeState, key: IndexedSeq[Long]): Long = {
+    val ks = s.byKey.getOrElse(key, null)
     if (ks == null) 0L else ks.cnt
   }
 
   /** The count a parent multiplies by: `cnt~ = ceilPow2(cnt)` under `Pow2`,
     * `cnt` under `Exact`.
     */
-  def cntTildeOf(rel: Int, key: IndexedSeq[Long]): Long = policy.round(cntOf(rel, key))
+  private def cntTildeOf(s: EdgeState, key: IndexedSeq[Long]): Long = policy.round(cntOf(s, key))
 
   /** Degree of a member: `feq~ · Π_child cnt~` (Section 4.3/4.4). */
-  private def degreeOf(node: Node, memberId: Int): Long = {
-    val t = node.memberTuple(memberId)
-    var d = if (node.grouped) policy.round(node.feq(memberId)) else 1L
+  private def degreeOf(s: EdgeState, memberId: Int): Long = {
+    val t = s.memberTuple(memberId)
+    var d = if (s.grouped) policy.round(s.feq(memberId)) else 1L
     var i = 0
-    while (d > 0 && i < node.children.length) {
-      d = mulCap(d, cntTildeOf(node.children(i), Proj.key(t, node.childKeyIdx(i))))
+    while (d > 0 && i < s.children.length) {
+      d = mulCap(d, cntTildeOf(s.children(i), Proj.key(t, s.childKeyIdx(i))))
       i += 1
     }
     d
   }
 
-  /** IndexUpdate (Algorithm 7 / Algorithm 10): member `memberId` of `node`
-    * had degree `old` (0 if new); recompute, reweigh, adjust the key count,
-    * and propagate upward if the rounded count changed.
+  /** IndexUpdate (Algorithm 7 / Algorithm 10): member `memberId` of `s` had
+    * degree `old` (0 if new); recompute, reweigh, adjust the key count, and,
+    * if the rounded count changed, pass the change on to every target.
     */
-  private def update(node: Node, memberId: Int, old: Long): Unit = {
-    val now = degreeOf(node, memberId)
+  private def update(s: EdgeState, memberId: Int, old: Long): Unit = {
+    val now = degreeOf(s, memberId)
     if (now == old && policy.skipsUnchanged) return
-    val key = Proj.key(node.memberTuple(memberId), node.keyIdx)
-    var ks = node.byKey.getOrElse(key, null)
-    if (ks == null) { ks = policy.newKeyState(); node.byKey(key) = ks }
+    val key = Proj.key(s.memberTuple(memberId), s.keyIdx)
+    var ks = s.byKey.getOrElse(key, null)
+    if (ks == null) { ks = policy.newKeyState(); s.byKey(key) = ks }
     ks.reweigh(memberId, old, now)
     val oldRounded = policy.round(ks.cnt)
     ks.cnt += now - old
-    if (policy.round(ks.cnt) != oldRounded && !node.isRoot &&
-        (trackRoot || !nodes(tree.parent(node.rel)).isRoot)) {
-      val parent = nodes(tree.parent(node.rel))
-      val pStore = if (parent.grouped) parent.gstore else stores(parent.rel)
-      val members = pStore.lookup(node.keyAttrs, key)
-      var m = 0
-      while (m < members.length) {
-        val pid = members(m)
-        counters.propagations += 1
-        val pt = parent.memberTuple(pid)
-        var oldDeg = if (parent.grouped) policy.round(parent.feq(pid)) else 1L
-        var ci = 0
-        while (oldDeg > 0 && ci < parent.children.length) {
-          val c = parent.children(ci)
-          val factor =
-            if (c == node.rel) oldRounded
-            else cntTildeOf(c, Proj.key(pt, parent.childKeyIdx(ci)))
-          oldDeg = mulCap(oldDeg, factor)
-          ci += 1
+    if (policy.round(ks.cnt) != oldRounded) {
+      var ti = 0
+      while (ti < s.targets.length) {
+        val p = s.targets(ti)
+        val slot = s.targetSlots(ti)
+        val members = p.memberStore.lookup(s.keyAttrs, key)
+        var m = 0
+        while (m < members.length) {
+          val pid = members(m)
+          counters.propagations += p.treeCount
+          counters.edgePropagations += 1
+          val pt = p.memberTuple(pid)
+          var oldDeg = if (p.grouped) policy.round(p.feq(pid)) else 1L
+          var ci = 0
+          while (oldDeg > 0 && ci < p.children.length) {
+            val factor =
+              if (ci == slot) oldRounded
+              else cntTildeOf(p.children(ci), Proj.key(pt, p.childKeyIdx(ci)))
+            oldDeg = mulCap(oldDeg, factor)
+            ci += 1
+          }
+          update(p, pid, oldDeg)
+          m += 1
         }
-        update(parent, pid, oldDeg)
-        m += 1
+        ti += 1
       }
     }
   }
 
-  /** React to the insertion of base tuple `tupId` into relation `rel`
-    * (the tuple is already in the store, all indexes updated).
+  /** React to the insertion of base tuple `tupId` into relation `rel` (the
+    * tuple is already in the store, all indexes updated): apply it to each
+    * of rel's states.
     */
   def onInsert(rel: Int, tupId: Int): Unit = {
-    val node = nodes(rel)
-    if (node.isRoot && !trackRoot) {
-      // The paper's index (Algorithm 7): the root holds no structure; only
-      // trees with full-join tracking count root tuples under the ∅-key.
-      ()
-    } else if (!node.grouped) {
-      update(node, tupId, 0L)
-    } else {
-      val t = stores(rel).tuples(tupId)
-      val gKey = Proj.key(t, node.groupIdx)
-      node.groupIdOf.get(gKey) match {
+    val ss = statesOf(rel)
+    var i = 0
+    while (i < ss.length) { insert(ss(i), tupId); i += 1 }
+  }
+
+  /** Apply the insertion of base tuple `tupId` of `s.rel` to `s`. */
+  private[core] def insert(s: EdgeState, tupId: Int): Unit =
+    if (!s.grouped) update(s, tupId, 0L)
+    else {
+      val t = s.store.tuples(tupId)
+      val gKey = Proj.key(t, s.groupIdx)
+      s.groupIdOf.get(gKey) match {
         case None =>
-          val gid = node.gstore.insert(Proj.arr(t, node.groupIdx))
-          node.groupIdOf(gKey) = gid
-          node.feq += 1L
-          update(node, gid, 0L)
+          val gid = s.gstore.insert(Proj.arr(t, s.groupIdx))
+          s.groupIdOf(gKey) = gid
+          s.feq += 1L
+          update(s, gid, 0L)
         case Some(gid) =>
-          val fOld = node.feq(gid)
-          node.feq(gid) = fOld + 1
+          val fOld = s.feq(gid)
+          s.feq(gid) = fOld + 1
           if (policy.round(fOld + 1) != policy.round(fOld)) {
             // feq~ changed: the group's degree changes by exactly that factor.
-            val t2 = node.memberTuple(gid)
+            val t2 = s.memberTuple(gid)
             var oldDeg = policy.round(fOld)
             var ci = 0
-            while (oldDeg > 0 && ci < node.children.length) {
+            while (oldDeg > 0 && ci < s.children.length) {
               oldDeg = mulCap(oldDeg,
-                cntTildeOf(node.children(ci), Proj.key(t2, node.childKeyIdx(ci))))
+                cntTildeOf(s.children(ci), Proj.key(t2, s.childKeyIdx(ci))))
               ci += 1
             }
-            update(node, gid, oldDeg)
+            update(s, gid, oldDeg)
           }
         // feq~ unchanged: cnt is untouched (it counts feq~, not feq).
       }
     }
-  }
 
   // -------------------------------------------------------------------------
   // Batch generation + retrieval (Algorithms 8, 9, 11)
@@ -364,35 +462,34 @@ final class TreeIndex(
     while (i < schema.arity) { out(schema.attrs(i)) = t(i); i += 1 }
   }
 
-  /** Retrieve position `z` of the implicit array for key `key` at `node`
+  /** Retrieve position `z` of the implicit array for key `key` at `s`
     * (Case 3 of Algorithm 9 / the grouped variant of Algorithm 11).
     * Returns false iff the position is a dummy.
     */
-  private def retrieveKey(rel: Int, key: IndexedSeq[Long], z: Long,
+  private def retrieveKey(s: EdgeState, key: IndexedSeq[Long], z: Long,
                           out: mutable.HashMap[String, Long]): Boolean = {
-    val node = nodes(rel)
-    val ks = node.byKey.getOrElse(key, null)
+    val ks = s.byKey.getOrElse(key, null)
     if (ks == null || z >= ks.cnt) return false // padding up to cnt~ is dummy
     val member = ks.locate(z, offset)
     val ell = offset(0)
-    if (!node.grouped) {
-      retrieveRaw(node, node.memberTuple(member), ell, out)
+    if (!s.grouped) {
+      retrieveRaw(s, s.memberTuple(member), ell, out)
     } else {
       // Alg. 11 lines 19–23: pick which copy inside the group, dummies past feq.
-      val gt = node.memberTuple(member)
+      val gt = s.memberTuple(member)
       var h = 1L
       var ci = 0
-      while (ci < node.children.length) {
-        h = mulCap(h, cntTildeOf(node.children(ci), Proj.key(gt, node.childKeyIdx(ci))))
+      while (ci < s.children.length) {
+        h = mulCap(h, cntTildeOf(s.children(ci), Proj.key(gt, s.childKeyIdx(ci))))
         ci += 1
       }
       val copy = ell / h
-      if (copy >= node.feq(member)) return false
+      if (copy >= s.feq(member)) return false
       // gt is already laid out in ē order, so it is its own lookup key.
-      val rawIds = stores(rel).lookup(node.groupAttrs,
+      val rawIds = s.store.lookup(s.groupAttrs,
         scala.collection.immutable.ArraySeq.unsafeWrapArray(gt))
-      val rawTup = stores(rel).tuples(rawIds(copy.toInt))
-      retrieveRaw(node, rawTup, ell - copy * h, out)
+      val rawTup = s.store.tuples(rawIds(copy.toInt))
+      retrieveRaw(s, rawTup, ell - copy * h, out)
     }
   }
 
@@ -400,26 +497,26 @@ final class TreeIndex(
     * attributes and decompose the residual position over the children
     * (Case 2 of Algorithm 9). For leaves the residual is necessarily 0.
     */
-  private def retrieveRaw(node: Node, t: Tup, z: Long,
+  private def retrieveRaw(s: EdgeState, t: Tup, z: Long,
                           out: mutable.HashMap[String, Long]): Boolean = {
-    putAttrs(out, node.baseSchema, t)
-    if (node.children.isEmpty) { require(z == 0, s"leaf residual $z"); return true }
+    putAttrs(out, s.baseSchema, t)
+    if (s.children.isEmpty) { require(z == 0, s"leaf residual $z"); return true }
     var rem = z
-    var ci = node.children.length - 1
+    var ci = s.children.length - 1
     while (ci >= 0) {
-      val c = node.children(ci)
-      val size = cntTildeOf(c, Proj.key(t, node.rawChildKeyIdx(ci)))
+      val c = s.children(ci)
+      val size = cntTildeOf(c, Proj.key(t, s.rawChildKeyIdx(ci)))
       val zi = rem % size
       rem = rem / size
-      if (!retrieveKey(c, Proj.key(t, node.rawChildKeyIdx(ci)), zi, out)) return false
+      if (!retrieveKey(c, Proj.key(t, s.rawChildKeyIdx(ci)), zi, out)) return false
       ci -= 1
     }
     true
   }
 
-  /** The implicit batch `ΔJ ⊇ ΔQ(R, t)` for a tuple just inserted into the
-    * root relation of this tree: `{t} × Π_child ΔJ(child)`, with `|ΔJ|`
-    * available in O(1) and positional retrieve in O(log N).
+  /** The implicit batch `ΔJ ⊇ ΔQ(R, t)` for tuple `tupId` just inserted into
+    * relation `root`: `{t} × Π_child ΔJ(child)` over the states `c→root`,
+    * with `|ΔJ|` available in O(1) and positional retrieve in O(log N).
     *
     * The child array lengths use the exact per-key `cnt` (positions in
     * `[cnt, cnt~)` are always dummy padding, so truncating them keeps the
@@ -427,15 +524,17 @@ final class TreeIndex(
     * matches the paper's two-table and line-3 cases, where `|ΔJ|` is
     * `cnt(b)·cnt(c)` exactly. Under `Exact`, `ΔJ = ΔQ`.
     */
-  def deltaBatch(tupId: Int): Batch[JoinRow] = {
-    val node = nodes(tree.root)
-    val t = stores(tree.root).tuples(tupId)
-    val m = node.children.length
+  def deltaBatch(root: Int, tupId: Int): Batch[JoinRow] = {
+    val schema = query.relations(root)
+    val children = rootChildren(root)
+    val keyIdx = rootChildKeyIdx(root)
+    val t = stores(root).tuples(tupId)
+    val m = children.length
     val sizes = new Array[Long](m)
     var total = 1L
     var ci = 0
     while (ci < m) {
-      sizes(ci) = cntOf(node.children(ci), Proj.key(t, node.childKeyIdx(ci)))
+      sizes(ci) = cntOf(children(ci), Proj.key(t, keyIdx(ci)))
       total = mulCap(total, sizes(ci))
       ci += 1
     }
@@ -445,14 +544,14 @@ final class TreeIndex(
       def retrieve(z: Long): Option[JoinRow] = {
         require(z >= 0 && z < size, s"retrieve($z) out of [0, $size)")
         val out = mutable.HashMap.empty[String, Long]
-        putAttrs(out, node.baseSchema, t)
+        putAttrs(out, schema, t)
         var rem = z
         var ok = true
         var i = m - 1
         while (ok && i >= 0) {
           val zi = rem % sizes(i)
           rem = rem / sizes(i)
-          ok = retrieveKey(node.children(i), Proj.key(t, node.childKeyIdx(i)), zi, out)
+          ok = retrieveKey(children(i), Proj.key(t, keyIdx(i)), zi, out)
           i -= 1
         }
         if (ok) Some(out.toMap) else None
@@ -460,65 +559,101 @@ final class TreeIndex(
     }
   }
 
-  /** Size of the implicit dense array over the full `Q(R)` (root ∅-key);
-    * exactly `|Q(R)|` under `Exact`.
+  /** Size of the implicit dense array over the full `Q(R)` (the ∅-key of
+    * `root`'s root state); exactly `|Q(R)|` under `Exact`.
     */
-  def fullCount: Long = {
+  def fullCount(root: Int): Long = {
     require(trackRoot, "fullCount requires trackFullJoin = true")
-    cntOf(tree.root, Proj.emptyKey)
+    cntOf(rootStates(root), Proj.emptyKey)
   }
 
   /** Position `z` of the full-join implicit array; None if dummy. */
-  def retrieveFull(z: Long): Option[JoinRow] = {
+  def retrieveFull(root: Int, z: Long): Option[JoinRow] = {
     val out = mutable.HashMap.empty[String, Long]
-    if (retrieveKey(tree.root, Proj.emptyKey, z, out)) Some(out.toMap) else None
+    if (retrieveKey(rootStates(root), Proj.emptyKey, z, out)) Some(out.toMap) else None
   }
 
-  /** Test-facing consistency check of every documented invariant: every
-    * member's stored degree (its bucket's `2^i`, or its Fenwick weight)
+  /** Test-facing consistency check of every documented invariant of `s`:
+    * every member's stored degree (its bucket's `2^i`, or its Fenwick weight)
     * equals its recomputed degree, members sit under their own key, `cnt` is
-    * the sum of the stored degrees, and grouped nodes' `feq` equals the
+    * the sum of the stored degrees, and a grouped state's `feq` equals the
     * raw-list length. Throws on violation.
     */
-  def checkInvariants(): Unit = {
-    for (node <- nodes) {
-      for ((key, ks) <- node.byKey) {
-        var sum = 0L
-        for ((m, w) <- ks.weights) {
-          val d = degreeOf(node, m)
-          require(d == w,
-            s"${q.name}/root=${tree.root}/rel=${node.rel}: member $m degree $d, stored $w")
-          require(Proj.key(node.memberTuple(m), node.keyIdx) == key,
-            s"member $m stored under wrong key")
-          sum += w
-        }
-        require(sum == ks.cnt,
-          s"${q.name}/root=${tree.root}/rel=${node.rel}/key=$key: cnt=${ks.cnt} != stored sum $sum")
+  def checkInvariants(s: EdgeState): Unit = {
+    val at = s"${query.name}/state=${s.rel}→${if (s.isRoot) "root" else s.parent}"
+    for ((key, ks) <- s.byKey) {
+      var sum = 0L
+      for ((m, w) <- ks.weights) {
+        val d = degreeOf(s, m)
+        require(d == w, s"$at: member $m degree $d, stored $w")
+        require(Proj.key(s.memberTuple(m), s.keyIdx) == key,
+          s"$at: member $m stored under wrong key")
+        sum += w
       }
-      if (node.grouped) {
-        var totalFeq = 0L
-        for (gid <- node.feq.indices) {
-          val gt = node.memberTuple(gid)
-          val raw = stores(node.rel).lookup(node.groupAttrs,
-            scala.collection.immutable.ArraySeq.unsafeWrapArray(gt))
-          require(raw.length.toLong == node.feq(gid),
-            s"group $gid feq=${node.feq(gid)} != raw list ${raw.length}")
-          totalFeq += node.feq(gid)
-        }
-        require(totalFeq == stores(node.rel).size,
-          s"Σfeq=$totalFeq != relation size ${stores(node.rel).size}")
+      require(sum == ks.cnt, s"$at/key=$key: cnt=${ks.cnt} != stored sum $sum")
+    }
+    if (s.grouped) {
+      var totalFeq = 0L
+      for (gid <- s.feq.indices) {
+        val gt = s.memberTuple(gid)
+        val raw = s.store.lookup(s.groupAttrs,
+          scala.collection.immutable.ArraySeq.unsafeWrapArray(gt))
+        require(raw.length.toLong == s.feq(gid),
+          s"$at: group $gid feq=${s.feq(gid)} != raw list ${raw.length}")
+        totalFeq += s.feq(gid)
       }
+      require(totalFeq == s.store.size, s"$at: Σfeq=$totalFeq != relation size ${s.store.size}")
     }
   }
 
-  /** Rough structure-proportional memory accounting (Fig. 11). */
+  /** Rough structure-proportional memory accounting (Fig. 11), each shared
+    * state counted once.
+    */
   def approxBytes: Long = {
     var bytes = 0L
-    for (node <- nodes) {
-      if (node.grouped) bytes += node.gstore.approxBytes + node.feq.length * 8L
-      bytes += node.byKey.size.toLong * 96L
-      for (ks <- node.byKey.valuesIterator) bytes += ks.approxBytes
+    for (s <- states) {
+      if (s.grouped) bytes += s.gstore.approxBytes + s.feq.length * 8L
+      bytes += s.byKey.size.toLong * 96L
+      for (ks <- s.byKey.valuesIterator) bytes += ks.approxBytes
     }
     bytes
   }
+}
+
+/** The index of one rooted join tree (Section 4), as a view of the engine's
+  * [[EdgeIndex]]: its `nodes` are the shared states `e→parent(e)` of the
+  * tree's non-root relations, plus the root state with full-join tracking.
+  */
+final class TreeIndex(val tree: RootedTree, index: EdgeIndex) extends Serializable {
+
+  private val root = tree.root
+
+  /** Each relation's state in this tree; the root's is null without
+    * full-join tracking.
+    */
+  private val stateOf: Array[EdgeState] =
+    Array.tabulate(tree.query.arity)(e => index.state(e, tree.parent(e)))
+
+  val nodes: Vector[EdgeState] = stateOf.iterator.filter(_ != null).toVector
+
+  private[core] def policy: CountPolicy = index.policy
+
+  /** React to the insertion of base tuple `tupId` into relation `rel`: apply
+    * it to rel's state in this tree if this is the lowest-indexed tree
+    * holding that state, so that calling every tree in turn updates each
+    * shared state once.
+    */
+  def onInsert(rel: Int, tupId: Int): Unit = {
+    val s = stateOf(rel)
+    if (s != null && s.owner == root) index.insert(s, tupId)
+  }
+
+  /** The delta batch of tuple `tupId` just inserted into this tree's root. */
+  def deltaBatch(tupId: Int): Batch[JoinRow] = index.deltaBatch(root, tupId)
+
+  def fullCount: Long = index.fullCount(root)
+
+  def retrieveFull(z: Long): Option[JoinRow] = index.retrieveFull(root, z)
+
+  def checkInvariants(): Unit = nodes.foreach(index.checkInvariants)
 }

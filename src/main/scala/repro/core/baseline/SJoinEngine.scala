@@ -9,11 +9,11 @@ import repro.core._
   * sampling applies directly), but costs eager propagation: every count
   * change walks all matching parent tuples, so a single insert can touch
   * O(N) tuples and a stream costs O(N²) worst case — the behaviour the paper
-  * contrasts against. Retrieval uses a Fenwick tree per (node, key) to find
+  * contrasts against. Retrieval uses a Fenwick tree per (state, key) to find
   * the tuple owning a position in O(log N).
   *
-  * It is RSJoin's engine over [[TreeIndex]] with the `Exact` counting policy
-  * and no grouping. The root also maintains an ∅-key count, so `fullCount`
+  * It is RSJoin's engine over [[EdgeIndex]] with the `Exact` counting policy
+  * and no grouping. Each root state also maintains an ∅-key count, so `fullCount`
   * is the exact `|Q(R)|` — handy as a test oracle and for the Fig. 7
   * join-size column.
   */

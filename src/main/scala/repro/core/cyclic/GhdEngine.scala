@@ -131,6 +131,7 @@ final class GhdEngine(
 
   def sample: Seq[JoinRow] = inner.sample
   def propagations: Long = inner.propagations
+  def edgePropagations: Long = inner.edgePropagations
   def approxBytes: Long = inner.approxBytes + ghdNodes.map(_.approxBytes).sum
 }
 

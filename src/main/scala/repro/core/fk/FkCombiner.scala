@@ -105,6 +105,7 @@ final class FkEngine(
 
   def sample: Seq[JoinRow] = inner.sample
   def propagations: Long = inner.propagations
+  def edgePropagations: Long = inner.edgePropagations
   def approxBytes: Long = inner.approxBytes + combiner.approxBytes
 }
 

@@ -48,22 +48,21 @@ class Pow2Spec extends SparkSpec {
     assert(Pow2.mulCap(7, 9) === 63L)
   }
 
-  test("mulCap saturates to the cap, preserving power-of-two-ness") {
-    val r = Pow2.mulCap(1L << 40, 1L << 40)
-    assert(r === Pow2.Cap)
-    assert(Pow2.isPow2(r))
+  test("mulCap throws past the cap instead of saturating") {
+    assert(Pow2.mulCap(1L << 30, 1L << 31) === Pow2.Cap)
+    intercept[ArithmeticException](Pow2.mulCap(1L << 40, 1L << 40))
+    intercept[ArithmeticException](Pow2.mulCap(Pow2.Cap, 3))
   }
 
-  test("mulCap fold equals min(product, Cap) independent of order") {
+  test("mulCap fold equals the product up to the cap and throws past it, in any order") {
     TestKit.forCases(300) { rng =>
       val exps = List.fill(5)(rng.nextInt(26))
       val vals = exps.map(e => 1L << e)
-      val fold1 = vals.foldLeft(1L)(Pow2.mulCap)
-      val fold2 = vals.reverse.foldLeft(1L)(Pow2.mulCap)
-      assert(fold1 === fold2)
       val trueExp = exps.sum
-      val expected = if (trueExp >= 61) Pow2.Cap else 1L << trueExp
-      assert(fold1 === expected)
+      for (order <- Seq(vals, vals.reverse)) {
+        if (trueExp > 61) intercept[ArithmeticException](order.foldLeft(1L)(Pow2.mulCap))
+        else assert(order.foldLeft(1L)(Pow2.mulCap) === 1L << trueExp)
+      }
     }
   }
 }

@@ -170,6 +170,19 @@ class ReservoirJoinEngineSpec extends SparkSpec {
     assert(e.propagations > 0)
   }
 
+  test("a star insert whose |ΔJ| passes 2^61 throws instead of capping the batch") {
+    // star-10 on one centre value: |ΔJ| of an insert is the product of the
+    // other nine arms' sizes, 64^9 = 2^54 at most while every arm holds ≤ 64
+    // tuples, 128^9 = 2^63 for the last insert below.
+    val arms = 10
+    val e = new ReservoirJoinEngine(Queries.starK(arms), k = 5, seed = 3, trackFullJoin = false)
+    def fill(ds: Range): Unit =
+      for (d <- ds; i <- 1 to arms) e.insert(s"g$i", Array(1L, d.toLong))
+    fill(1 to 64)
+    assert(e.sample.size === 5)
+    intercept[ArithmeticException](fill(65 to 128))
+  }
+
   test("approxBytes grows with the input") {
     val q = Queries.lineK(3)
     val stream = graphStream(q, edges = 60, nodes = 13, seed = 16)
