@@ -4,24 +4,25 @@ package repro.core
   *
   * Degrees (`cnt~` values) are always 0 or an exact power of two; products of
   * degrees can overflow Long for wide queries on large data, so
-  * multiplication fails loudly past 2^61: a capped degree or `|ΔJ|` would
-  * bias the sample without a trace.
+  * multiplication and rounding fail loudly past 2^61: a capped degree,
+  * count or `|ΔJ|` would bias the sample without a trace.
   */
 object Pow2 {
 
-  /** The largest product `mulCap` returns, and where `ceilPow2` saturates:
-    * a power of two small enough that sums of a few such values still
-    * cannot overflow Long.
+  /** The largest value `mulCap` and `ceilPow2` return: a power of two small
+    * enough that sums of a few such values still cannot overflow Long.
     */
   val Cap: Long = 1L << 61
 
   /** Smallest power of two ≥ x (x ≥ 1). ceilPow2(0) = 0 by convention:
     * an empty subtree contributes no join results and lives in no bucket.
+    *
+    * @throws ArithmeticException if x exceeds `Cap`
     */
   def ceilPow2(x: Long): Long = {
     require(x >= 0, s"ceilPow2 of negative $x")
     if (x == 0) 0L
-    else if (x >= Cap) Cap
+    else if (x > Cap) throw new ArithmeticException(s"count $x exceeds 2^61")
     else if (isPow2(x)) x
     else java.lang.Long.highestOneBit(x) << 1
   }

@@ -22,37 +22,20 @@ final class EngineCounters extends Serializable {
   var edgePropagations: Long = 0L
 }
 
-/** One position-addressable bucket `Φ_i` of Section 4: the member ids
-  * (tuple ids, or group ids for grouped states) whose approximate degree is
-  * `2^i`. Supports O(1) append, O(1) swap-remove, O(1) positional access.
-  */
-final class Bucket extends Serializable {
-  val ids = new ArrayBuffer[Int](4)
-  private val pos = mutable.HashMap.empty[Int, Int]
-
-  def size: Int = ids.length
-  def apply(j: Int): Int = ids(j)
-  def add(id: Int): Unit = { pos(id) = ids.length; ids += id }
-  def remove(id: Int): Unit = {
-    val p = pos.remove(id).getOrElse(
-      throw new IllegalStateException(s"bucket does not contain member $id"))
-    val last = ids.length - 1
-    if (p != last) { val moved = ids(last); ids(p) = moved; pos(moved) = p }
-    ids.remove(last)
-  }
-}
-
-/** Per-key state of one [[EdgeState]]: the exact sum `cnt` of its members'
-  * degrees, and the structure that maps a position in `[0, cnt)` to the
-  * member owning it. The index's [[CountPolicy]] picks the structure.
+/** Per-key state of one [[EdgeState]]: each member's stored degree, their
+  * exact sum `cnt`, and the structure that maps a position in `[0, cnt)` to
+  * the member owning it. The index's [[CountPolicy]] picks the structure.
   */
 sealed abstract class KeyState extends Serializable {
   var cnt: Long = 0L
 
-  /** Member `id`'s degree changed from `old` to `now` (`old` = 0 if the
-    * member is new); `cnt` is the caller's to adjust.
+  /** Member `id`'s stored degree (0 if it has none). */
+  def degree(id: Int): Long
+
+  /** Store `now` as member `id`'s degree, adjust `cnt`, and return the
+    * degree stored before (0 if the member is new).
     */
-  def reweigh(id: Int, old: Long, now: Long): Unit
+  def set(id: Int, now: Long): Long
 
   /** The member owning position `z` (`0 ≤ z < cnt`); `offset(0)` receives
     * z's offset within that member's positions.
@@ -66,25 +49,44 @@ sealed abstract class KeyState extends Serializable {
 }
 
 /** `Pow2` key state (Section 4): the non-empty buckets `Φ_i` keyed by
-  * exponent, so that `cnt = Σ_i 2^i · |Φ_i|`.
+  * exponent, so that `cnt = Σ_i 2^i · |Φ_i|`. Each bucket supports O(1)
+  * append, swap-remove and positional access.
   */
 final class BucketKeyState extends KeyState {
-  val buckets = new java.util.TreeMap[Integer, Bucket]()
+  /** `Φ_i` by exponent `i`: the ids of the members of degree `2^i`. */
+  val buckets = new java.util.TreeMap[Integer, ArrayBuffer[Int]]()
 
-  def reweigh(id: Int, old: Long, now: Long): Unit = {
-    if (old > 0) {
-      val i = log2(old)
-      val b = buckets.get(i)
-      require(b != null, s"no bucket at exponent $i")
-      b.remove(id)
-      if (b.size == 0) buckets.remove(i)
+  /** Each member's place `i << 32 | j`: slot `j` of `Φ_i`. */
+  private val place = mutable.HashMap.empty[Int, Long]
+
+  def degree(id: Int): Long = {
+    val p = place.getOrElse(id, -1L)
+    if (p < 0) 0L else 1L << (p >>> 32)
+  }
+
+  def set(id: Int, now: Long): Long = {
+    val p = place.getOrElse(id, -1L)
+    val old = if (p < 0) 0L else 1L << (p >>> 32)
+    if (now != old) {
+      if (p >= 0) {
+        val i = (p >>> 32).toInt
+        val b = buckets.get(i)
+        val last = b.length - 1
+        val j = p.toInt
+        if (j != last) { val moved = b(last); b(j) = moved; place(moved) = p }
+        b.remove(last)
+        if (b.isEmpty) buckets.remove(i)
+      }
+      if (now > 0) {
+        val i = log2(now)
+        var b = buckets.get(i)
+        if (b == null) { b = new ArrayBuffer[Int](4); buckets.put(i, b) }
+        place(id) = (i.toLong << 32) | b.length
+        b += id
+      } else place.remove(id)
+      cnt += now - old
     }
-    if (now > 0) {
-      val i = log2(now)
-      var b = buckets.get(i)
-      if (b == null) { b = new Bucket; buckets.put(i, b) }
-      b.add(id)
-    }
+    old
   }
 
   def locate(z: Long, offset: Array[Long]): Int = {
@@ -94,7 +96,7 @@ final class BucketKeyState extends KeyState {
     while (it.hasNext) {
       val e = it.next()
       val i = e.getKey.intValue()
-      val width = (1L << i) * e.getValue.size
+      val width = (1L << i) * e.getValue.length
       if (z < prefix + width) {
         val j = ((z - prefix) >> i).toInt
         offset(0) = (z - prefix) - (j.toLong << i)
@@ -107,13 +109,13 @@ final class BucketKeyState extends KeyState {
 
   def weights: Iterator[(Int, Long)] =
     buckets.entrySet().iterator().asScala.flatMap { e =>
-      e.getValue.ids.iterator.map(_ -> (1L << e.getKey.intValue()))
+      e.getValue.iterator.map(_ -> (1L << e.getKey.intValue()))
     }
 
   def approxBytes: Long = {
     var bytes = 0L
     val it = buckets.values().iterator()
-    while (it.hasNext) bytes += 64L + it.next().size.toLong * 40L
+    while (it.hasNext) bytes += 64L + it.next().length.toLong * 40L
     bytes
   }
 }
@@ -126,12 +128,18 @@ final class FenwickKeyState extends KeyState {
   val memberPos = mutable.HashMap.empty[Int, Int]
   val fen = new Fenwick
 
-  def reweigh(id: Int, old: Long, now: Long): Unit = memberPos.get(id) match {
-    case Some(p) => if (now != old) fen.add(p, now - old)
-    case None =>
-      memberPos(id) = members.length
-      members += id
-      fen.append(now)
+  def degree(id: Int): Long = {
+    val p = memberPos.getOrElse(id, -1)
+    if (p < 0) 0L else fen.weight(p)
+  }
+
+  def set(id: Int, now: Long): Long = {
+    val p = memberPos.getOrElse(id, -1)
+    val old =
+      if (p >= 0) { val w = fen.weight(p); if (now != w) fen.add(p, now - w); w }
+      else { memberPos(id) = members.length; members += id; fen.append(now); 0L }
+    cnt += now - old
+    old
   }
 
   def locate(z: Long, offset: Array[Long]): Int = {
@@ -158,24 +166,25 @@ private[core] sealed abstract class CountPolicy extends Serializable {
 
   def newKeyState(): KeyState
 
-  /** Whether a member whose degree did not change may be skipped. `Exact`
-    * may not: a new member takes its Fenwick slot on arrival, even at degree
-    * 0, so that slot order is arrival order.
+  /** Whether an update to degree 0 may be skipped: degrees never fall in an
+    * insert-only stream, so such a member is new or was never stored.
+    * `Exact` may not skip it: a new member takes its Fenwick slot on arrival,
+    * even at degree 0, so that slot order is arrival order.
     */
-  def skipsUnchanged: Boolean
+  def skipsZero: Boolean
 }
 
 private[core] object CountPolicy {
   case object Pow2 extends CountPolicy {
     def round(cnt: Long): Long = ceilPow2(cnt)
     def newKeyState(): KeyState = new BucketKeyState
-    def skipsUnchanged: Boolean = true
+    def skipsZero: Boolean = true
   }
 
   case object Exact extends CountPolicy {
     def round(cnt: Long): Long = cnt
     def newKeyState(): KeyState = new FenwickKeyState
-    def skipsUnchanged: Boolean = false
+    def skipsZero: Boolean = false
   }
 }
 
@@ -241,11 +250,10 @@ final class EdgeState private[core] (
   val byKey = mutable.HashMap.empty[IndexedSeq[Long], KeyState]
 
   /** The states this one is a child of (`parent→x` for every `x ≠ rel`, and
-    * `parent`'s root state), with this state's slot among their children:
-    * a change of this state's `cnt~` is a message to each of them.
+    * `parent`'s root state): a change of this state's `cnt~` is a message to
+    * each of them.
     */
   private[core] var targets: Array[EdgeState] = Array.empty
-  private[core] var targetSlots: Array[Int] = Array.empty
 
   // Propagation looks members up by each child's key; grouped states also
   // look up the raw tuples of a group by ē.
@@ -265,9 +273,10 @@ final class EdgeState private[core] (
   * tree of Dynamic Yannakakis and F-IVM). An insert into `r` updates each of
   * r's states. A change of `cnt~` at `c→p` is a message that updates the
   * matching members of every `p→x` with `x ≠ c` and of `p`'s root state,
-  * depth-first. Each state thus sees the same reweighs, in the same order,
-  * as each of its per-tree copies would have. [[TreeIndex]] is one rooted
-  * tree's view of it.
+  * depth-first. Each state thus sees the same updates, in the same order,
+  * as each of its per-tree copies would have. An updated member's old degree
+  * is the one its key state stores, so no caller rebuilds it from the
+  * children's counts. [[TreeIndex]] is one rooted tree's view of it.
   *
   * `counters.propagations` keeps Fig. 9's tree-by-tree count: an update of a
   * member of a state counts once per tree holding the state.
@@ -328,11 +337,7 @@ final class EdgeIndex private[core] (
     */
   val states: Vector[EdgeState] = statesOf.toVector.flatten
 
-  for (s <- states; slot <- s.children.indices) {
-    val c = s.children(slot)
-    c.targets :+= s
-    c.targetSlots :+= slot
-  }
+  for (s <- states; c <- s.children) c.targets :+= s
 
   /** The states `c→r` below relation `r` as a root, and where their keys
     * sit in r's tuples: the factors of `ΔJ` for a tuple inserted into r.
@@ -347,16 +352,17 @@ final class EdgeIndex private[core] (
     */
   private[core] def state(e: Int, p: Int): EdgeState = if (p < 0) rootStates(e) else byEdge((e, p))
 
-  /** The exact `cnt[e→p, t]` — 0 when the key is absent. */
-  private def cntOf(s: EdgeState, key: IndexedSeq[Long]): Long = {
-    val ks = s.byKey.getOrElse(key, null)
-    if (ks == null) 0L else ks.cnt
-  }
+  /** `s`'s state for `key`, or null when no member has that key. */
+  private def keyState(s: EdgeState, key: IndexedSeq[Long]): KeyState = s.byKey.getOrElse(key, null)
+
+  /** The exact `cnt[e→p, t]` of a key state — 0 when the key is absent. */
+  private def cntOf(ks: KeyState): Long = if (ks == null) 0L else ks.cnt
 
   /** The count a parent multiplies by: `cnt~ = ceilPow2(cnt)` under `Pow2`,
     * `cnt` under `Exact`.
     */
-  private def cntTildeOf(s: EdgeState, key: IndexedSeq[Long]): Long = policy.round(cntOf(s, key))
+  private def cntTildeOf(s: EdgeState, key: IndexedSeq[Long]): Long =
+    policy.round(cntOf(keyState(s, key)))
 
   /** Degree of a member: `feq~ · Π_child cnt~` (Section 4.3/4.4). */
   private def degreeOf(s: EdgeState, memberId: Int): Long = {
@@ -370,41 +376,28 @@ final class EdgeIndex private[core] (
     d
   }
 
-  /** IndexUpdate (Algorithm 7 / Algorithm 10): member `memberId` of `s` had
-    * degree `old` (0 if new); recompute, reweigh, adjust the key count, and,
-    * if the rounded count changed, pass the change on to every target.
+  /** IndexUpdate (Algorithm 7 / Algorithm 10): recompute the degree of
+    * member `memberId` of `s`, store it in its key state (which moves the
+    * member from `Φ_old` to `Φ_new` and adjusts `cnt`), and, if the rounded
+    * count changed, pass the change on to every target.
     */
-  private def update(s: EdgeState, memberId: Int, old: Long): Unit = {
+  private def update(s: EdgeState, memberId: Int): Unit = {
     val now = degreeOf(s, memberId)
-    if (now == old && policy.skipsUnchanged) return
+    if (now == 0 && policy.skipsZero) return
     val key = Proj.key(s.memberTuple(memberId), s.keyIdx)
-    var ks = s.byKey.getOrElse(key, null)
-    if (ks == null) { ks = policy.newKeyState(); s.byKey(key) = ks }
-    ks.reweigh(memberId, old, now)
+    val ks = s.byKey.getOrElseUpdate(key, policy.newKeyState())
     val oldRounded = policy.round(ks.cnt)
-    ks.cnt += now - old
+    ks.set(memberId, now)
     if (policy.round(ks.cnt) != oldRounded) {
       var ti = 0
       while (ti < s.targets.length) {
         val p = s.targets(ti)
-        val slot = s.targetSlots(ti)
         val members = p.memberStore.lookup(s.keyAttrs, key)
         var m = 0
         while (m < members.length) {
-          val pid = members(m)
           counters.propagations += p.treeCount
           counters.edgePropagations += 1
-          val pt = p.memberTuple(pid)
-          var oldDeg = if (p.grouped) policy.round(p.feq(pid)) else 1L
-          var ci = 0
-          while (oldDeg > 0 && ci < p.children.length) {
-            val factor =
-              if (ci == slot) oldRounded
-              else cntTildeOf(p.children(ci), Proj.key(pt, p.childKeyIdx(ci)))
-            oldDeg = mulCap(oldDeg, factor)
-            ci += 1
-          }
-          update(p, pid, oldDeg)
+          update(p, members(m))
           m += 1
         }
         ti += 1
@@ -424,7 +417,7 @@ final class EdgeIndex private[core] (
 
   /** Apply the insertion of base tuple `tupId` of `s.rel` to `s`. */
   private[core] def insert(s: EdgeState, tupId: Int): Unit =
-    if (!s.grouped) update(s, tupId, 0L)
+    if (!s.grouped) update(s, tupId)
     else {
       val t = s.store.tuples(tupId)
       val gKey = Proj.key(t, s.groupIdx)
@@ -433,23 +426,12 @@ final class EdgeIndex private[core] (
           val gid = s.gstore.insert(Proj.arr(t, s.groupIdx))
           s.groupIdOf(gKey) = gid
           s.feq += 1L
-          update(s, gid, 0L)
+          update(s, gid)
         case Some(gid) =>
           val fOld = s.feq(gid)
           s.feq(gid) = fOld + 1
-          if (policy.round(fOld + 1) != policy.round(fOld)) {
-            // feq~ changed: the group's degree changes by exactly that factor.
-            val t2 = s.memberTuple(gid)
-            var oldDeg = policy.round(fOld)
-            var ci = 0
-            while (oldDeg > 0 && ci < s.children.length) {
-              oldDeg = mulCap(oldDeg,
-                cntTildeOf(s.children(ci), Proj.key(t2, s.childKeyIdx(ci))))
-              ci += 1
-            }
-            update(s, gid, oldDeg)
-          }
-        // feq~ unchanged: cnt is untouched (it counts feq~, not feq).
+          // feq~ unchanged: cnt is untouched (it counts feq~, not feq).
+          if (policy.round(fOld + 1) != policy.round(fOld)) update(s, gid)
       }
     }
 
@@ -462,33 +444,29 @@ final class EdgeIndex private[core] (
     while (i < schema.arity) { out(schema.attrs(i)) = t(i); i += 1 }
   }
 
-  /** Retrieve position `z` of the implicit array for key `key` at `s`
-    * (Case 3 of Algorithm 9 / the grouped variant of Algorithm 11).
-    * Returns false iff the position is a dummy.
+  /** Retrieve position `z` of the implicit array of key state `ks` of `s`
+    * (Case 3 of Algorithm 9 / the grouped variant of Algorithm 11); `ks` is
+    * null when no member has the key. Returns false iff the position is a
+    * dummy.
     */
-  private def retrieveKey(s: EdgeState, key: IndexedSeq[Long], z: Long,
+  private def retrieveKey(s: EdgeState, ks: KeyState, z: Long,
                           out: mutable.HashMap[String, Long]): Boolean = {
-    val ks = s.byKey.getOrElse(key, null)
     if (ks == null || z >= ks.cnt) return false // padding up to cnt~ is dummy
     val member = ks.locate(z, offset)
     val ell = offset(0)
     if (!s.grouped) {
       retrieveRaw(s, s.memberTuple(member), ell, out)
     } else {
-      // Alg. 11 lines 19–23: pick which copy inside the group, dummies past feq.
-      val gt = s.memberTuple(member)
-      var h = 1L
-      var ci = 0
-      while (ci < s.children.length) {
-        h = mulCap(h, cntTildeOf(s.children(ci), Proj.key(gt, s.childKeyIdx(ci))))
-        ci += 1
-      }
+      // Alg. 11 lines 19–23: pick which copy inside the group, dummies past
+      // feq. Each copy owns h = Π_child cnt~ = degree / feq~ positions.
+      val h = ks.degree(member) / policy.round(s.feq(member))
       val copy = ell / h
       if (copy >= s.feq(member)) return false
       // gt is already laid out in ē order, so it is its own lookup key.
+      val gt = s.memberTuple(member)
       val rawIds = s.store.lookup(s.groupAttrs,
         scala.collection.immutable.ArraySeq.unsafeWrapArray(gt))
-      val rawTup = s.store.tuples(rawIds(copy.toInt))
+      val rawTup = s.store.tuples(rawIds(Math.toIntExact(copy)))
       retrieveRaw(s, rawTup, ell - copy * h, out)
     }
   }
@@ -505,10 +483,11 @@ final class EdgeIndex private[core] (
     var ci = s.children.length - 1
     while (ci >= 0) {
       val c = s.children(ci)
-      val size = cntTildeOf(c, Proj.key(t, s.rawChildKeyIdx(ci)))
+      val ks = keyState(c, Proj.key(t, s.rawChildKeyIdx(ci)))
+      val size = policy.round(cntOf(ks))
       val zi = rem % size
       rem = rem / size
-      if (!retrieveKey(c, Proj.key(t, s.rawChildKeyIdx(ci)), zi, out)) return false
+      if (!retrieveKey(c, ks, zi, out)) return false
       ci -= 1
     }
     true
@@ -530,11 +509,13 @@ final class EdgeIndex private[core] (
     val keyIdx = rootChildKeyIdx(root)
     val t = stores(root).tuples(tupId)
     val m = children.length
+    val keyStates = new Array[KeyState](m)
     val sizes = new Array[Long](m)
     var total = 1L
     var ci = 0
     while (ci < m) {
-      sizes(ci) = cntOf(children(ci), Proj.key(t, keyIdx(ci)))
+      keyStates(ci) = keyState(children(ci), Proj.key(t, keyIdx(ci)))
+      sizes(ci) = cntOf(keyStates(ci))
       total = mulCap(total, sizes(ci))
       ci += 1
     }
@@ -551,7 +532,7 @@ final class EdgeIndex private[core] (
         while (ok && i >= 0) {
           val zi = rem % sizes(i)
           rem = rem / sizes(i)
-          ok = retrieveKey(children(i), Proj.key(t, keyIdx(i)), zi, out)
+          ok = retrieveKey(children(i), keyStates(i), zi, out)
           i -= 1
         }
         if (ok) Some(out.toMap) else None
@@ -564,13 +545,14 @@ final class EdgeIndex private[core] (
     */
   def fullCount(root: Int): Long = {
     require(trackRoot, "fullCount requires trackFullJoin = true")
-    cntOf(rootStates(root), Proj.emptyKey)
+    cntOf(keyState(rootStates(root), Proj.emptyKey))
   }
 
   /** Position `z` of the full-join implicit array; None if dummy. */
   def retrieveFull(root: Int, z: Long): Option[JoinRow] = {
     val out = mutable.HashMap.empty[String, Long]
-    if (retrieveKey(rootStates(root), Proj.emptyKey, z, out)) Some(out.toMap) else None
+    val s = rootStates(root)
+    if (retrieveKey(s, keyState(s, Proj.emptyKey), z, out)) Some(out.toMap) else None
   }
 
   /** Test-facing consistency check of every documented invariant of `s`:
@@ -585,7 +567,7 @@ final class EdgeIndex private[core] (
       var sum = 0L
       for ((m, w) <- ks.weights) {
         val d = degreeOf(s, m)
-        require(d == w, s"$at: member $m degree $d, stored $w")
+        require(d == w && ks.degree(m) == w, s"$at: member $m degree $d, stored $w")
         require(Proj.key(s.memberTuple(m), s.keyIdx) == key,
           s"$at: member $m stored under wrong key")
         sum += w

@@ -19,9 +19,11 @@ class Pow2Spec extends SparkSpec {
     assert(Pow2.ceilPow2((1L << 40) + 1) === (1L << 41))
   }
 
-  test("ceilPow2 saturates at the cap") {
-    assert(Pow2.ceilPow2(Long.MaxValue / 2) === Pow2.Cap)
+  test("ceilPow2 throws past the cap") {
     assert(Pow2.ceilPow2(Pow2.Cap) === Pow2.Cap)
+    assert(Pow2.ceilPow2(Pow2.Cap - 1) === Pow2.Cap)
+    intercept[ArithmeticException](Pow2.ceilPow2(Pow2.Cap + 1))
+    intercept[ArithmeticException](Pow2.ceilPow2(Long.MaxValue / 2))
   }
 
   test("ceilPow2 property: x <= ceilPow2(x) < 2x for x >= 1") {
