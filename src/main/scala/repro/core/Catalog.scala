@@ -12,6 +12,12 @@ import scala.collection.mutable
   */
 object Proj {
   type Tup = Array[Long]
+
+  /** A join result. The engines' rows are [[IdRow]] views: one tuple id per
+    * relation of the query the index runs on, over that engine's append-only
+    * stores, read only when the row is looked at. They equal (and hash like)
+    * plain maps with the same entries.
+    */
   type JoinRow = Map[String, Long]
 
   val emptyKey: IndexedSeq[Long] = ArraySeq.empty[Long]

@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 import Proj.{JoinRow, Tup}
@@ -34,12 +33,35 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
     stores(query.relIdx(rel)).insert(values)
   }
 
-  /** Insert `values` into `rel` and return the (materialized) delta join. */
-  def insertAndDelta(rel: String, values: Array[Long]): ArrayBuffer[JoinRow] = {
+  /** Each relation's attribute slots among `query.attributes`. */
+  private val slotsOf: Array[Array[Int]] =
+    query.relations.map(r => r.attrs.map(query.attributes.indexOf).toArray).toArray
+
+  /** Per rooted tree: its non-root relations in depth-first preorder (the
+    * order in which `joinsOf` expands them), and the slots of each one's key.
+    */
+  private val visitOrder: Array[Array[Int]] = rootedTrees.map { tree =>
+    def pre(v: Int): Vector[Int] = v +: tree.children(v).flatMap(pre)
+    pre(tree.root).tail.toArray
+  }.toArray
+  private val keySlots: Array[Array[Array[Int]]] = rootedTrees.zip(visitOrder).map {
+    case (tree, order) => order.map(c => tree.key(c).map(query.attributes.indexOf).toArray)
+  }.toArray
+
+  /** Insert `values` into `rel` and pass each result of the delta join to
+    * `emit`, as values over the slots of `query.attributes`. The array is
+    * overwritten once `emit` returns: `emit` must copy what it keeps.
+    */
+  def insertAndEmit(rel: String, values: Array[Long])(emit: Array[Long] => Unit): Unit = {
     val r = query.relIdx(rel)
     stores(r).insert(values)
+    joinsOf(r, values, emit)
+  }
+
+  /** Insert `values` into `rel` and return the (materialized) delta join. */
+  def insertAndDelta(rel: String, values: Array[Long]): ArrayBuffer[JoinRow] = {
     val out = new ArrayBuffer[JoinRow]
-    joinsOf(rootedTrees(r), values, out)
+    insertAndEmit(rel, values)(out += rowOf(_))
     out
   }
 
@@ -48,37 +70,40 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
     */
   def fullJoin(): ArrayBuffer[JoinRow] = {
     val out = new ArrayBuffer[JoinRow]
-    val tree = rootedTrees(0)
-    for (t <- stores(tree.root).tuples) joinsOf(tree, t, out)
+    for (t <- stores(0).tuples) joinsOf(0, t, out += rowOf(_))
     out
   }
 
-  /** Append to `out` every join result that contains tuple `t` of `tree`'s
-    * root relation, by backtracking over the tree: children are expanded
-    * depth-first through hash semijoin lookups.
+  private def rowOf(acc: Array[Long]): JoinRow = query.attributes.iterator.zip(acc.iterator).toMap
+
+  /** Pass to `emit` every join result that contains tuple `t` of relation
+    * `root`, by backtracking over the tree rooted there: each relation, in
+    * preorder, is matched through a hash semijoin lookup on its key, whose
+    * values its parent has already written into `acc`.
     */
-  private def joinsOf(tree: RootedTree, t: Tup, out: ArrayBuffer[JoinRow]): Unit = {
-    val acc = mutable.HashMap.empty[String, Long]
-    def putAttrs(s: RelSchema, t: Tup): Unit = {
+  private def joinsOf(root: Int, t: Tup, emit: Array[Long] => Unit): Unit = {
+    val tree = rootedTrees(root)
+    val order = visitOrder(root)
+    val keys = keySlots(root)
+    val acc = new Array[Long](query.attributes.length)
+    def put(rel: Int, t: Tup): Unit = {
+      val slots = slotsOf(rel)
       var i = 0
-      while (i < s.arity) { acc(s.attrs(i)) = t(i); i += 1 }
+      while (i < slots.length) { acc(slots(i)) = t(i); i += 1 }
     }
-    def expand(pending: List[Int]): Unit = pending match {
-      case Nil => out += acc.toMap
-      case relC :: rest =>
-        val schemaC = query.relations(relC)
-        val keyAttrs = tree.key(relC)
-        val keyVals = Proj.key(
-          keyAttrs.map(a => acc(a)).toArray, Array.tabulate(keyAttrs.length)(identity))
-        val matches = stores(relC).lookup(keyAttrs, keyVals)
+    def expand(d: Int): Unit =
+      if (d == order.length) emit(acc)
+      else {
+        val c = order(d)
+        val matches = stores(c).lookup(tree.key(c), Proj.key(acc, keys(d)))
         var i = 0
         while (i < matches.length) {
-          putAttrs(schemaC, stores(relC).tuples(matches(i)))
-          expand(tree.children(relC).toList ::: rest)
+          put(c, stores(c).tuples(matches(i)))
+          expand(d + 1)
           i += 1
         }
-    }
-    putAttrs(query.relations(tree.root), t)
-    expand(tree.children(tree.root).toList)
+      }
+    put(root, t)
+    expand(0)
   }
 }

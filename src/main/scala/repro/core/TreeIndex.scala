@@ -296,6 +296,12 @@ final class EdgeIndex private[core] (
   /** Second result of [[KeyState.locate]]. */
   private val offset = new Array[Long](1)
 
+  /** Retrieve's scratch: the tuple id chosen for each relation. A real
+    * position's row gets a copy.
+    */
+  private val ids = new Array[Int](n)
+  private val layout = new RowLayout(query, stores)
+
   /** Join-tree neighbours of each relation, in relation-index order. */
   private val nbrs: Array[Vector[Int]] = Array.tabulate(n) { v =>
     edges.collect { case (a, b) if a == v => b; case (a, b) if b == v => a }.sorted
@@ -439,23 +445,18 @@ final class EdgeIndex private[core] (
   // Batch generation + retrieval (Algorithms 8, 9, 11)
   // -------------------------------------------------------------------------
 
-  private def putAttrs(out: mutable.HashMap[String, Long], schema: RelSchema, t: Tup): Unit = {
-    var i = 0
-    while (i < schema.arity) { out(schema.attrs(i)) = t(i); i += 1 }
-  }
-
   /** Retrieve position `z` of the implicit array of key state `ks` of `s`
     * (Case 3 of Algorithm 9 / the grouped variant of Algorithm 11); `ks` is
-    * null when no member has the key. Returns false iff the position is a
+    * null when no member has the key. Records in `ids` the tuple chosen for
+    * every relation of `s`'s subtree. Returns false iff the position is a
     * dummy.
     */
-  private def retrieveKey(s: EdgeState, ks: KeyState, z: Long,
-                          out: mutable.HashMap[String, Long]): Boolean = {
+  private def retrieveKey(s: EdgeState, ks: KeyState, z: Long): Boolean = {
     if (ks == null || z >= ks.cnt) return false // padding up to cnt~ is dummy
     val member = ks.locate(z, offset)
     val ell = offset(0)
     if (!s.grouped) {
-      retrieveRaw(s, s.memberTuple(member), ell, out)
+      retrieveRaw(s, member, ell)
     } else {
       // Alg. 11 lines 19–23: pick which copy inside the group, dummies past
       // feq. Each copy owns h = Π_child cnt~ = degree / feq~ positions.
@@ -466,19 +467,18 @@ final class EdgeIndex private[core] (
       val gt = s.memberTuple(member)
       val rawIds = s.store.lookup(s.groupAttrs,
         scala.collection.immutable.ArraySeq.unsafeWrapArray(gt))
-      val rawTup = s.store.tuples(rawIds(Math.toIntExact(copy)))
-      retrieveRaw(s, rawTup, ell - copy * h, out)
+      retrieveRaw(s, rawIds(Math.toIntExact(copy)), ell - copy * h)
     }
   }
 
-  /** Retrieve within the sub-batch of one concrete base tuple: emit its
-    * attributes and decompose the residual position over the children
+  /** Retrieve within the sub-batch of base tuple `tupId` of `s.rel`: record
+    * it in `ids` and decompose the residual position over the children
     * (Case 2 of Algorithm 9). For leaves the residual is necessarily 0.
     */
-  private def retrieveRaw(s: EdgeState, t: Tup, z: Long,
-                          out: mutable.HashMap[String, Long]): Boolean = {
-    putAttrs(out, s.baseSchema, t)
+  private def retrieveRaw(s: EdgeState, tupId: Int, z: Long): Boolean = {
+    ids(s.rel) = tupId
     if (s.children.isEmpty) { require(z == 0, s"leaf residual $z"); return true }
+    val t = s.store.tuples(tupId)
     var rem = z
     var ci = s.children.length - 1
     while (ci >= 0) {
@@ -487,7 +487,7 @@ final class EdgeIndex private[core] (
       val size = policy.round(cntOf(ks))
       val zi = rem % size
       rem = rem / size
-      if (!retrieveKey(c, ks, zi, out)) return false
+      if (!retrieveKey(c, ks, zi)) return false
       ci -= 1
     }
     true
@@ -496,6 +496,8 @@ final class EdgeIndex private[core] (
   /** The implicit batch `ΔJ ⊇ ΔQ(R, t)` for tuple `tupId` just inserted into
     * relation `root`: `{t} × Π_child ΔJ(child)` over the states `c→root`,
     * with `|ΔJ|` available in O(1) and positional retrieve in O(log N).
+    * A real position yields an [[IdRow]] over the tuple ids retrieve chose;
+    * a dummy one allocates nothing but `None`.
     *
     * The child array lengths use the exact per-key `cnt` (positions in
     * `[cnt, cnt~)` are always dummy padding, so truncating them keeps the
@@ -504,7 +506,6 @@ final class EdgeIndex private[core] (
     * `cnt(b)·cnt(c)` exactly. Under `Exact`, `ΔJ = ΔQ`.
     */
   def deltaBatch(root: Int, tupId: Int): Batch[JoinRow] = {
-    val schema = query.relations(root)
     val children = rootChildren(root)
     val keyIdx = rootChildKeyIdx(root)
     val t = stores(root).tuples(tupId)
@@ -524,18 +525,17 @@ final class EdgeIndex private[core] (
       val size: Long = tot
       def retrieve(z: Long): Option[JoinRow] = {
         require(z >= 0 && z < size, s"retrieve($z) out of [0, $size)")
-        val out = mutable.HashMap.empty[String, Long]
-        putAttrs(out, schema, t)
+        ids(root) = tupId
         var rem = z
         var ok = true
         var i = m - 1
         while (ok && i >= 0) {
           val zi = rem % sizes(i)
           rem = rem / sizes(i)
-          ok = retrieveKey(children(i), keyStates(i), zi, out)
+          ok = retrieveKey(children(i), keyStates(i), zi)
           i -= 1
         }
-        if (ok) Some(out.toMap) else None
+        if (ok) Some(new IdRow(layout, ids.clone())) else None
       }
     }
   }
@@ -550,9 +550,8 @@ final class EdgeIndex private[core] (
 
   /** Position `z` of the full-join implicit array; None if dummy. */
   def retrieveFull(root: Int, z: Long): Option[JoinRow] = {
-    val out = mutable.HashMap.empty[String, Long]
     val s = rootStates(root)
-    if (retrieveKey(s, keyState(s, Proj.emptyKey), z, out)) Some(out.toMap) else None
+    if (retrieveKey(s, keyState(s, Proj.emptyKey), z)) Some(new IdRow(layout, ids.clone())) else None
   }
 
   /** Test-facing consistency check of every documented invariant of `s`:

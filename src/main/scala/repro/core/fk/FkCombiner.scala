@@ -1,6 +1,5 @@
 package repro.core.fk
 
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 import repro.core._
@@ -65,14 +64,10 @@ final class FkCombiner(val baseQuery: JoinQuery, fks: Seq[FkSpec]) extends Seria
     if (groups(gi).size == 1) {
       out += ((rel, values))
     } else {
-      val schema = combinedQuery.relations(gi)
-      val deltas = enumerators(gi).insertAndDelta(rel, values)
-      var i = 0
-      while (i < deltas.length) {
-        val row = deltas(i)
-        out += ((schema.name, schema.attrs.map(row).toArray))
-        i += 1
-      }
+      // The combined schema's attributes are the group query's
+      // `attributes`, in the same order: each emitted row is copied whole.
+      val name = combinedQuery.relations(gi).name
+      enumerators(gi).insertAndEmit(rel, values)(row => out += ((name, row.clone())))
     }
     out
   }

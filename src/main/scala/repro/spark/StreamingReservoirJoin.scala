@@ -8,7 +8,8 @@ import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode
 import repro.core.{JoinQuery, ReservoirJoinEngine}
 
 /** One streamed tuple: global sequence number (defines the logical stream
-  * order inside a micro-batch), relation name, attribute values.
+  * order; unique, and increasing from one micro-batch to the next),
+  * relation name, attribute values.
   */
 final case class TaggedTuple(seq: Long, rel: String, v: Seq[Long])
 
@@ -47,31 +48,37 @@ object StreamingReservoirJoin {
   }
 
   /** Attach the stateful sampling operator to a stream of tagged tuples.
-    * Use with `OutputMode.Update` on the sink.
+    * Use with `OutputMode.Update` on the sink. The state holds the last seq
+    * absorbed and the serialized engine; a micro-batch whose seqs do not all
+    * come after that seq, or that repeats a seq, fails the query with an
+    * `IllegalArgumentException` naming both seqs.
     */
   def attach(input: Dataset[TaggedTuple], query: JoinQuery, k: Int, seed: Long,
              grouping: Boolean = false): Dataset[SampleSnapshot] = {
     implicit val snapshotEnc: Encoder[SampleSnapshot] = Encoders.product[SampleSnapshot]
-    implicit val stateEnc: Encoder[Array[Byte]] = Encoders.BINARY
+    implicit val stateEnc: Encoder[(Long, Array[Byte])] =
+      Encoders.tuple(Encoders.scalaLong, Encoders.BINARY)
     implicit val keyEnc: Encoder[Int] = Encoders.scalaInt
 
     input
       .groupByKey(_ => 0)
-      .flatMapGroupsWithState[Array[Byte], SampleSnapshot](
+      .flatMapGroupsWithState[(Long, Array[Byte]), SampleSnapshot](
         OutputMode.Update(), GroupStateTimeout.NoTimeout()) {
-        (_: Int, tuples: Iterator[TaggedTuple], state: GroupState[Array[Byte]]) =>
-          val engine = state.getOption
-            .map(deserialize)
-            .getOrElse(new ReservoirJoinEngine(query, k, seed, grouping))
+        (_: Int, tuples: Iterator[TaggedTuple], state: GroupState[(Long, Array[Byte])]) =>
+          val prev = state.getOption
           val ordered = tuples.toArray.sortBy(_.seq)
-          var last = -1L
-          ordered.foreach { t =>
-            engine.insert(t.rel, t.v.toArray)
-            last = t.seq
+          var last = prev.map(_._1)
+          for (t <- ordered) {
+            for (l <- last)
+              require(t.seq > l, s"out-of-order stream: tuple seq ${t.seq} does not follow seq $l")
+            last = Some(t.seq)
           }
-          state.update(serialize(engine))
+          val engine = prev.map(p => deserialize(p._2))
+            .getOrElse(new ReservoirJoinEngine(query, k, seed, grouping))
+          ordered.foreach(t => engine.insert(t.rel, t.v.toArray))
+          state.update((last.get, serialize(engine)))
           val sample = engine.sample
-          Iterator.single(SampleSnapshot(last, engine.inserts, sample.size, sample))
+          Iterator.single(SampleSnapshot(last.get, engine.inserts, sample.size, sample))
       }
   }
 }

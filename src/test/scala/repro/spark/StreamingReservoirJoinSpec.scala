@@ -1,6 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
+import org.apache.spark.sql.streaming.StreamingQueryException
 
 import repro.{SparkSpec, TestKit}
 import repro.core.{OracleCheck, ReservoirJoinEngine}
@@ -14,6 +15,12 @@ class StreamingReservoirJoinSpec extends SparkSpec {
 
   private def runStreaming(stream: Seq[(String, Array[Long])], chunks: Int,
                            k: Int, seed: Long): Seq[SampleSnapshot] = {
+    val data = tagged(stream)
+    runBatches(data.grouped(math.max(1, data.size / chunks)).toSeq, k, seed)
+  }
+
+  /** Feed each of `batches` to the operator as its own micro-batch. */
+  private def runBatches(batches: Seq[Seq[TaggedTuple]], k: Int, seed: Long): Seq[SampleSnapshot] = {
     val session = spark
     import session.implicits._
     implicit val sqlCtx: org.apache.spark.sql.SQLContext = session.sqlContext
@@ -26,11 +33,9 @@ class StreamingReservoirJoinSpec extends SparkSpec {
       .outputMode("update")
       .start()
     try {
-      val data = tagged(stream)
-      val per = math.max(1, data.size / chunks)
       // One processAllAvailable per chunk forces a separate micro-batch each,
       // exercising the state-store round trip between triggers.
-      data.grouped(per).foreach { chunk =>
+      batches.foreach { chunk =>
         ms.addData(chunk)
         query.processAllAvailable()
       }
@@ -91,5 +96,26 @@ class StreamingReservoirJoinSpec extends SparkSpec {
     val snaps = runStreaming(stream, chunks = 5, k = 10, seed = 1)
     assert(snaps.map(_.tuplesSeen) === snaps.map(_.tuplesSeen).sorted)
     assert(snaps.map(_.sampleSize) === snaps.map(_.sampleSize).sorted)
+  }
+
+  /** The `IllegalArgumentException` that stopped the operator fed `batches`. */
+  private def rejection(batches: Seq[Seq[TaggedTuple]]): IllegalArgumentException = {
+    val e = intercept[StreamingQueryException](runBatches(batches, k = 5, seed = 1))
+    Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case iae: IllegalArgumentException => iae }
+      .getOrElse(fail(s"no IllegalArgumentException behind $e"))
+  }
+
+  test("a micro-batch whose seqs do not follow the last absorbed seq fails the query") {
+    val data = tagged(StreamGen.lineK(3, StreamGen.graphEdges(40, 12, 8), 8).stream.take(20))
+    val replayed = data.slice(5, 15) // seqs 5..14 after the first batch's 0..9
+    val iae = rejection(Seq(data.take(10), replayed))
+    assert(iae.getMessage.contains("seq 5 does not follow seq 9"), iae.getMessage)
+  }
+
+  test("a micro-batch repeating a seq fails the query") {
+    val data = tagged(StreamGen.lineK(3, StreamGen.graphEdges(40, 12, 8), 8).stream.take(10))
+    val iae = rejection(Seq((data.take(4) :+ data(3)) ++ data.drop(4)))
+    assert(iae.getMessage.contains("seq 3 does not follow seq 3"), iae.getMessage)
   }
 }
