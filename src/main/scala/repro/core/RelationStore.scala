@@ -11,7 +11,10 @@ import scala.collection.mutable.ArrayBuffer
   * tuples are backfilled), and are deduplicated by attribute list so several
   * join trees can share them.
   */
-final class RelationStore(val schema: RelSchema) extends Serializable {
+final class RelationStore(
+    val schema: RelSchema,
+    private[core] val capacity: Int = RelationStore.MaxTuples,
+) extends Serializable {
   import Proj.Tup
 
   val tuples = new ArrayBuffer[Tup]
@@ -40,6 +43,9 @@ final class RelationStore(val schema: RelSchema) extends Serializable {
     require(t.length == schema.arity,
       s"${schema.name}: tuple arity ${t.length} != ${schema.arity}")
     val id = tuples.length
+    if (id >= capacity)
+      throw new IllegalStateException(
+        s"${schema.name}: relation full at $capacity tuples (tuple ids are Ints)")
     tuples += t
     indexes.valuesIterator.foreach(_.add(id, t))
     id
@@ -63,6 +69,12 @@ final class RelationStore(val schema: RelSchema) extends Serializable {
 }
 
 object RelationStore {
+  /** The most tuples a store holds: ids are `Int`s, and arrays indexed by
+    * them (the tuple arena, the index's slot arrays) stop below
+    * `Int.MaxValue`.
+    */
+  val MaxTuples: Int = Int.MaxValue - 8
+
   /** Shared empty result — never mutated. */
   val NoIds: ArrayBuffer[Int] = new ArrayBuffer[Int](0)
 }

@@ -2,7 +2,6 @@ package repro.core
 
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
-import scala.jdk.CollectionConverters._
 
 import Pow2._
 import Proj.{JoinRow, Tup}
@@ -25,6 +24,9 @@ final class EngineCounters extends Serializable {
 /** Per-key state of one [[EdgeState]]: each member's stored degree, their
   * exact sum `cnt`, and the structure that maps a position in `[0, cnt)` to
   * the member owning it. The index's [[CountPolicy]] picks the structure.
+  *
+  * The key states of one edge state share its [[Slots]]: a member id may be
+  * passed to the key state of one key only, the key it projects to.
   */
 sealed abstract class KeyState extends Serializable {
   var cnt: Long = 0L
@@ -48,42 +50,88 @@ sealed abstract class KeyState extends Serializable {
   def approxBytes: Long
 }
 
-/** `Pow2` key state (Section 4): the non-empty buckets `Φ_i` keyed by
-  * exponent, so that `cnt = Σ_i 2^i · |Φ_i|`. Each bucket supports O(1)
-  * append, swap-remove and positional access.
+/** Each member's slot in the key state of its key, indexed by member id (a
+  * tuple id or a group id, both dense), or -1 for a member that has none.
+  * One per [[EdgeState]], shared by all of its key states.
   */
-final class BucketKeyState extends KeyState {
-  /** `Φ_i` by exponent `i`: the ids of the members of degree `2^i`. */
-  val buckets = new java.util.TreeMap[Integer, ArrayBuffer[Int]]()
+private[core] final class Slots extends Serializable {
+  private var slot = Array.fill(16)(-1L)
 
-  /** Each member's place `i << 32 | j`: slot `j` of `Φ_i`. */
-  private val place = mutable.HashMap.empty[Int, Long]
+  def apply(id: Int): Long = if (id < slot.length) slot(id) else -1L
+
+  def update(id: Int, v: Long): Unit = {
+    if (id >= slot.length) {
+      val n = slot.length
+      slot = java.util.Arrays.copyOf(slot, Slots.grownLength(n, id + 1))
+      java.util.Arrays.fill(slot, n, slot.length, -1L)
+    }
+    slot(id) = v
+  }
+}
+
+private[core] object Slots {
+  /** The length to grow an array of `length` to so that it holds `need`
+    * elements: at least double, capped at the largest array a store's ids
+    * can index. Throws if `need` is past that cap.
+    */
+  def grownLength(length: Int, need: Int): Int = {
+    if (need > RelationStore.MaxTuples)
+      throw new IllegalStateException(s"array of $need elements exceeds ${RelationStore.MaxTuples}")
+    math.min(math.max(length * 2L, need.toLong), RelationStore.MaxTuples.toLong).toInt
+  }
+}
+
+/** `Pow2` key state (Section 4): the buckets `Φ_i` indexed by exponent, so
+  * that `cnt = Σ_i 2^i · |Φ_i|`, with a `Long` mask of the non-empty ones
+  * (exponents are at most 61). Each bucket is an `Int` array with O(1)
+  * append, swap-remove and positional access; a member's slot in [[Slots]]
+  * is its place `i << 32 | j`, slot `j` of `Φ_i`.
+  */
+final class BucketKeyState private[core] (slots: Slots) extends KeyState {
+  /** `Φ_i` is `phi(i)(0 until len(i))`, or null when empty. Both arrays
+    * reach the largest exponent used so far.
+    */
+  private var phi = new Array[Array[Int]](0)
+  private var len = new Array[Int](0)
+
+  /** Bit `i` is set iff `Φ_i` is non-empty. */
+  private var mask = 0L
 
   def degree(id: Int): Long = {
-    val p = place.getOrElse(id, -1L)
+    val p = slots(id)
     if (p < 0) 0L else 1L << (p >>> 32)
   }
 
   def set(id: Int, now: Long): Long = {
-    val p = place.getOrElse(id, -1L)
+    val p = slots(id)
     val old = if (p < 0) 0L else 1L << (p >>> 32)
     if (now != old) {
       if (p >= 0) {
         val i = (p >>> 32).toInt
-        val b = buckets.get(i)
-        val last = b.length - 1
+        val b = phi(i)
+        val last = len(i) - 1
         val j = p.toInt
-        if (j != last) { val moved = b(last); b(j) = moved; place(moved) = p }
-        b.remove(last)
-        if (b.isEmpty) buckets.remove(i)
+        if (j != last) { val moved = b(last); b(j) = moved; slots(moved) = p }
+        len(i) = last
+        if (last == 0) { phi(i) = null; mask &= ~(1L << i) }
       }
       if (now > 0) {
         val i = log2(now)
-        var b = buckets.get(i)
-        if (b == null) { b = new ArrayBuffer[Int](4); buckets.put(i, b) }
-        place(id) = (i.toLong << 32) | b.length
-        b += id
-      } else place.remove(id)
+        if (i >= phi.length) {
+          phi = java.util.Arrays.copyOf(phi, i + 1)
+          len = java.util.Arrays.copyOf(len, i + 1)
+        }
+        var b = phi(i)
+        if (b == null) { b = new Array[Int](4); phi(i) = b; mask |= 1L << i }
+        else if (len(i) == b.length) {
+          b = java.util.Arrays.copyOf(b, Slots.grownLength(b.length, b.length + 1))
+          phi(i) = b
+        }
+        val j = len(i)
+        b(j) = id
+        len(i) = j + 1
+        slots(id) = (i.toLong << 32) | j
+      } else slots(id) = -1L
       cnt += now - old
     }
     old
@@ -92,65 +140,70 @@ final class BucketKeyState extends KeyState {
   def locate(z: Long, offset: Array[Long]): Int = {
     // Ascending exponent scan; there are O(|T_e| log N) non-empty buckets.
     var prefix = 0L
-    val it = buckets.entrySet().iterator()
-    while (it.hasNext) {
-      val e = it.next()
-      val i = e.getKey.intValue()
-      val width = (1L << i) * e.getValue.length
+    var m = mask
+    while (m != 0) {
+      val i = java.lang.Long.numberOfTrailingZeros(m)
+      val width = len(i).toLong << i
       if (z < prefix + width) {
         val j = ((z - prefix) >> i).toInt
         offset(0) = (z - prefix) - (j.toLong << i)
-        return e.getValue.apply(j)
+        return phi(i)(j)
       }
       prefix += width
+      m &= m - 1
     }
     throw new IllegalArgumentException(s"position $z beyond bucket contents (cnt=$cnt)")
   }
 
   def weights: Iterator[(Int, Long)] =
-    buckets.entrySet().iterator().asScala.flatMap { e =>
-      e.getValue.iterator.map(_ -> (1L << e.getKey.intValue()))
-    }
+    Iterator.range(0, phi.length).flatMap(i => Iterator.range(0, len(i)).map(phi(i)(_) -> (1L << i)))
 
-  def approxBytes: Long = {
-    var bytes = 0L
-    val it = buckets.values().iterator()
-    while (it.hasNext) bytes += 64L + it.next().length.toLong * 40L
-    bytes
-  }
+  /** The figure of the earlier map-based layout (per bucket and per member),
+    * kept so that `approxBytes` stays comparable across versions.
+    */
+  def approxBytes: Long = 64L * java.lang.Long.bitCount(mask) + 40L * len.iterator.map(_.toLong).sum
 }
 
 /** `Exact` key state (SJoin): every member holds a Fenwick slot in arrival
-  * order, weighted by its exact degree, so `cnt` is the Fenwick total.
+  * order, weighted by its exact degree, so `cnt` is the Fenwick total. A
+  * member's slot in [[Slots]] is its Fenwick slot.
   */
-final class FenwickKeyState extends KeyState {
-  val members = new ArrayBuffer[Int](4)
-  val memberPos = mutable.HashMap.empty[Int, Int]
-  val fen = new Fenwick
+final class FenwickKeyState private[core] (slots: Slots) extends KeyState {
+  /** The member of each Fenwick slot. */
+  private var members = new Array[Int](4)
+  private val fen = new Fenwick
 
   def degree(id: Int): Long = {
-    val p = memberPos.getOrElse(id, -1)
-    if (p < 0) 0L else fen.weight(p)
+    val p = slots(id)
+    if (p < 0) 0L else fen.weight(p.toInt)
   }
 
   def set(id: Int, now: Long): Long = {
-    val p = memberPos.getOrElse(id, -1)
+    val p = slots(id)
     val old =
-      if (p >= 0) { val w = fen.weight(p); if (now != w) fen.add(p, now - w); w }
-      else { memberPos(id) = members.length; members += id; fen.append(now); 0L }
+      if (p >= 0) { val w = fen.weight(p.toInt); if (now != w) fen.add(p.toInt, now - w); w }
+      else {
+        val s = fen.size
+        if (s == members.length)
+          members = java.util.Arrays.copyOf(members, Slots.grownLength(s, s + 1))
+        members(s) = id
+        slots(id) = s
+        fen.append(now)
+        0L
+      }
     cnt += now - old
     old
   }
 
-  def locate(z: Long, offset: Array[Long]): Int = {
-    val (slot, ell) = fen.search(z)
-    offset(0) = ell
-    members(slot)
-  }
+  def locate(z: Long, offset: Array[Long]): Int = members(fen.search(z, offset))
 
-  def weights: Iterator[(Int, Long)] = members.indices.iterator.map(s => members(s) -> fen.weight(s))
+  def weights: Iterator[(Int, Long)] = Iterator.range(0, fen.size).map(s => members(s) -> fen.weight(s))
 
-  def approxBytes: Long = members.length.toLong * (8L + 48L + 8L) // slot + pos entry + fenwick cell
+  /** The figure of the earlier map-based layout (member slot, position-map
+    * entry, Fenwick cell), kept so that `approxBytes` stays comparable
+    * across versions.
+    */
+  def approxBytes: Long = fen.size.toLong * (8L + 48L + 8L)
 }
 
 /** How a [[TreeIndex]] counts. `Pow2` (RSJoin) multiplies a parent's degree
@@ -164,7 +217,10 @@ private[core] sealed abstract class CountPolicy extends Serializable {
   /** The factor a parent's degree takes from a child key with count `cnt`. */
   def round(cnt: Long): Long
 
-  def newKeyState(): KeyState
+  /** An empty key state whose members keep their slots in `slots`, the
+    * slot array of the edge state it belongs to.
+    */
+  def newKeyState(slots: Slots): KeyState
 
   /** Whether an update to degree 0 may be skipped: degrees never fall in an
     * insert-only stream, so such a member is new or was never stored.
@@ -177,13 +233,13 @@ private[core] sealed abstract class CountPolicy extends Serializable {
 private[core] object CountPolicy {
   case object Pow2 extends CountPolicy {
     def round(cnt: Long): Long = ceilPow2(cnt)
-    def newKeyState(): KeyState = new BucketKeyState
+    def newKeyState(slots: Slots): KeyState = new BucketKeyState(slots)
     def skipsZero: Boolean = true
   }
 
   case object Exact extends CountPolicy {
     def round(cnt: Long): Long = cnt
-    def newKeyState(): KeyState = new FenwickKeyState
+    def newKeyState(slots: Slots): KeyState = new FenwickKeyState(slots)
     def skipsZero: Boolean = false
   }
 }
@@ -248,6 +304,9 @@ final class EdgeState private[core] (
   val groupIdx: Array[Int] = baseSchema.idxOf(groupAttrs)
 
   val byKey = mutable.HashMap.empty[IndexedSeq[Long], KeyState]
+
+  /** The slots of this state's members, shared by its key states. */
+  private[core] val slots = new Slots
 
   /** The states this one is a child of (`parent→x` for every `x ≠ rel`, and
     * `parent`'s root state): a change of this state's `cnt~` is a message to
@@ -391,7 +450,7 @@ final class EdgeIndex private[core] (
     val now = degreeOf(s, memberId)
     if (now == 0 && policy.skipsZero) return
     val key = Proj.key(s.memberTuple(memberId), s.keyIdx)
-    val ks = s.byKey.getOrElseUpdate(key, policy.newKeyState())
+    val ks = s.byKey.getOrElseUpdate(key, policy.newKeyState(s.slots))
     val oldRounded = policy.round(ks.cnt)
     ks.set(memberId, now)
     if (policy.round(ks.cnt) != oldRounded) {

@@ -1,5 +1,7 @@
 package repro.core.baseline
 
+import repro.core.Slots
+
 /** Growable Fenwick (binary indexed) tree over Long weights.
   *
   * Supports append, point update, prefix-sum search — the positional
@@ -35,7 +37,7 @@ final class Fenwick extends Serializable {
     */
   def append(w: Long): Unit = {
     n += 1
-    if (n >= tree.length) tree = java.util.Arrays.copyOf(tree, tree.length * 2)
+    if (n >= tree.length) tree = java.util.Arrays.copyOf(tree, Slots.grownLength(tree.length, n + 1))
     val j = n
     var sum = w
     var t = j - 1
@@ -45,10 +47,11 @@ final class Fenwick extends Serializable {
   }
 
   /** Find the slot containing global position `z` (0 ≤ z < total):
-    * the unique i with prefix(i) ≤ z < prefix(i+1). Returns (i, z − prefix(i)).
-    * Zero-weight slots own no positions and are skipped.
+    * the unique i with prefix(i) ≤ z < prefix(i+1). Returns i and writes
+    * z − prefix(i) into `offset(0)`. Zero-weight slots own no positions and
+    * are skipped.
     */
-  def search(z: Long): (Int, Long) = {
+  def search(z: Long, offset: Array[Long]): Int = {
     require(z >= 0 && z < total, s"position $z out of [0, $total)")
     var pos = 0
     var rem = z
@@ -58,6 +61,7 @@ final class Fenwick extends Serializable {
       if (next <= n && tree(next) <= rem) { pos = next; rem -= tree(next) }
       step >>= 1
     }
-    (pos, rem) // pos is the 0-based slot index
+    offset(0) = rem
+    pos // the 0-based slot index
   }
 }

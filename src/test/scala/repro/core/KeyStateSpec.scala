@@ -18,13 +18,13 @@ class KeyStateSpec extends SparkSpec {
   /** A non-decreasing next degree: any power of two (or 0) for `Pow2`
     * states, any count for `Exact` ones.
     */
-  private val kinds: Seq[(String, () => KeyState, (Rng, Long) => Long)] = Seq(
-    ("BucketKeyState", () => new BucketKeyState, (rng, old) =>
+  private val kinds: Seq[(String, Slots => KeyState, (Rng, Long) => Long)] = Seq(
+    ("BucketKeyState", new BucketKeyState(_), (rng, old) =>
       if (old >= 64) old
       else if (old > 0) old << rng.nextInt(3)
       else if (rng.nextInt(4) == 0) 0L
       else 1L << rng.nextInt(6)),
-    ("FenwickKeyState", () => new FenwickKeyState, (rng, old) => old + rng.nextInt(5)),
+    ("FenwickKeyState", new FenwickKeyState(_), (rng, old) => old + rng.nextInt(5)),
   )
 
   private def check(ks: KeyState, model: mutable.Map[Int, Long], withLocate: Boolean): Unit = {
@@ -36,32 +36,65 @@ class KeyStateSpec extends SparkSpec {
     assert(ks.cnt === model.values.sum)
     if (withLocate) {
       val offset = new Array[Long](1)
-      val hits = mutable.Map.empty[Int, Vector[Long]].withDefaultValue(Vector.empty)
-      for (z <- 0L until ks.cnt) {
-        val id = ks.locate(z, offset)
-        hits(id) :+= offset(0)
+      if (ks.cnt <= (1L << 16)) {
+        val hits = mutable.Map.empty[Int, Vector[Long]].withDefaultValue(Vector.empty)
+        for (z <- 0L until ks.cnt) {
+          val id = ks.locate(z, offset)
+          hits(id) :+= offset(0)
+        }
+        for ((id, d) <- model if d > 0)
+          assert(hits(id).sorted === (0L until d).toVector, s"offsets of member $id")
+        assert(hits.keySet === model.filter(_._2 > 0).keySet)
       }
-      for ((id, d) <- model if d > 0)
-        assert(hits(id).sorted === (0L until d).toVector, s"offsets of member $id")
-      assert(hits.keySet === model.filter(_._2 > 0).keySet)
+      // Every member owns a run of consecutive positions, so stepping from
+      // run start to run start visits each member once, however large cnt.
+      val seen = mutable.Set.empty[Int]
+      var z = 0L
+      while (z < ks.cnt) {
+        val id = ks.locate(z, offset)
+        assert(offset(0) === 0L, s"position $z starts no member's run")
+        val d = model.getOrElse(id, fail(s"position $z located non-member $id"))
+        assert(ks.locate(z + d - 1, offset) === id && offset(0) === d - 1, s"run of member $id")
+        assert(seen.add(id), s"member $id located twice")
+        z += d
+      }
+      assert(seen === model.filter(_._2 > 0).keySet)
     }
   }
 
   for ((name, mk, next) <- kinds) {
     test(s"$name: set, degree, weights, cnt and locate match a member → degree model") {
       TestKit.forCases(40, seed0 = 611) { rng =>
-        val ks = mk()
-        val model = mutable.LinkedHashMap.empty[Int, Long]
-        for (step <- 1 to 120) {
-          val id =
-            if (model.isEmpty || rng.nextInt(3) == 0) rng.nextInt(1 << 20)
-            else model.keys.toVector(rng.nextInt(model.size))
-          val old = model.getOrElse(id, 0L)
-          val now = next(rng, old)
-          assert(ks.set(id, now) === old, s"set($id, $now) at step $step")
-          model(id) = now
-          check(ks, model, withLocate = step % 20 == 0)
+        // Up to four keys of one edge state share its slot array, each
+        // member belonging to one of them. Member ids spread over 2^4..2^20,
+        // far past the array's initial capacity.
+        val slots = new Slots
+        val keys = Vector.fill(1 + rng.nextInt(4))(mk(slots))
+        val models = keys.map(_ => mutable.LinkedHashMap.empty[Int, Long])
+        val keyOf = mutable.Map.empty[Int, Int]
+        def freshId(k: Int): Int = {
+          var id = rng.nextInt(1 << (4 + rng.nextInt(17)))
+          while (keyOf.contains(id)) id = rng.nextInt(1 << 20)
+          keyOf(id) = k
+          id
         }
+        def setAndCheck(k: Int, id: Int, now: Long, step: Int, withLocate: Boolean): Unit = {
+          val old = models(k).getOrElse(id, 0L)
+          assert(keys(k).set(id, now) === old, s"set($id, $now) on key $k at step $step")
+          models(k)(id) = now
+          for (x <- keys.indices) check(keys(x), models(x), withLocate)
+        }
+        for (step <- 1 to 120) {
+          val k = rng.nextInt(keys.size)
+          val model = models(k)
+          val id =
+            if (model.isEmpty || rng.nextInt(3) == 0) freshId(k)
+            else model.keys.toVector(rng.nextInt(model.size))
+          setAndCheck(k, id, next(rng, model.getOrElse(id, 0L)), step, withLocate = step % 20 == 0)
+        }
+        // The highest exponent, 61: mask bit 61 under Pow2.
+        val k = rng.nextInt(keys.size)
+        setAndCheck(k, freshId(k), 1L << 61, 121, withLocate = true)
       }
     }
   }

@@ -6,6 +6,13 @@ import repro.{SparkSpec, TestKit}
 
 class FenwickSpec extends SparkSpec {
 
+  /** `f.search(z, offset)` as (slot, residual). */
+  private def search(f: Fenwick, z: Long): (Int, Long) = {
+    val offset = new Array[Long](1)
+    val slot = f.search(z, offset)
+    (slot, offset(0))
+  }
+
   test("append + prefix matches a reference array") {
     val f = new Fenwick
     val ref = ArrayBuffer[Long]()
@@ -34,20 +41,20 @@ class FenwickSpec extends SparkSpec {
   test("search finds the owning slot and residual") {
     val f = new Fenwick
     Seq(3L, 0L, 5L).foreach(f.append) // ranges: [0,3) -> 0, [3,8) -> 2
-    assert(f.search(0) === ((0, 0L)))
-    assert(f.search(2) === ((0, 2L)))
-    assert(f.search(3) === ((2, 0L)))
-    assert(f.search(7) === ((2, 4L)))
-    intercept[IllegalArgumentException](f.search(8))
-    intercept[IllegalArgumentException](f.search(-1))
+    assert(search(f, 0) === ((0, 0L)))
+    assert(search(f, 2) === ((0, 2L)))
+    assert(search(f, 3) === ((2, 0L)))
+    assert(search(f, 7) === ((2, 4L)))
+    intercept[IllegalArgumentException](search(f, 8))
+    intercept[IllegalArgumentException](search(f, -1))
   }
 
   test("search skips zero-weight slots everywhere") {
     val f = new Fenwick
     Seq(0L, 2L, 0L, 0L, 1L, 0L).foreach(f.append)
-    assert(f.search(0)._1 === 1)
-    assert(f.search(1)._1 === 1)
-    assert(f.search(2)._1 === 4)
+    assert(search(f, 0)._1 === 1)
+    assert(search(f, 1)._1 === 1)
+    assert(search(f, 2)._1 === 4)
   }
 
   test("randomized search/update agreement with a reference array") {
@@ -68,7 +75,7 @@ class FenwickSpec extends SparkSpec {
         // check every position maps to the correct slot
         var z = 0L
         for (i <- 0 until n; r <- 0L until ref(i)) {
-          assert(f.search(z) === ((i, r)), s"z=$z")
+          assert(search(f, z) === ((i, r)), s"z=$z")
           z += 1
         }
       }
