@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** Tuple/attribute plumbing shared by every engine.
@@ -19,24 +18,6 @@ object Proj {
     * plain maps with the same entries.
     */
   type JoinRow = Map[String, Long]
-
-  val emptyKey: IndexedSeq[Long] = ArraySeq.empty[Long]
-
-  /** Project `t` onto the positions `idx`, as a hashable key. */
-  def key(t: Tup, idx: Array[Int]): IndexedSeq[Long] = {
-    if (idx.length == 0) return emptyKey
-    val a = new Array[Long](idx.length)
-    var i = 0
-    while (i < idx.length) { a(i) = t(idx(i)); i += 1 }
-    ArraySeq.unsafeWrapArray(a)
-  }
-
-  def arr(t: Tup, idx: Array[Int]): Tup = {
-    val a = new Array[Long](idx.length)
-    var i = 0
-    while (i < idx.length) { a(i) = t(idx(i)); i += 1 }
-    a
-  }
 }
 
 /** Schema of one relation: a name and an ordered list of attribute names. */

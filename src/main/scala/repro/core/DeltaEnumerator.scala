@@ -1,12 +1,14 @@
 package repro.core
 
+import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 import Proj.{JoinRow, Tup}
 
 /** Exact delta-join enumeration for an acyclic query: on each insert,
   * materialize `ΔQ(R, t) = Q(R ∪ {t}) ⋉ t` by backtracking over the join
-  * tree rooted at the inserted tuple's relation, using hash semijoin lists.
+  * tree rooted at the inserted tuple's relation, using semijoin lists over
+  * its own key dictionaries.
   *
   * This is deliberately simple and exact — it serves as (a) the brute-force
   * oracle the index tests compare against, and (b) the group joiner inside
@@ -23,10 +25,8 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
   private val rootedTrees: Vector[RootedTree] =
     query.relations.indices.map(r => JoinTree.rooted(query, unrootedEdges, r)).toVector
 
-  // Every tree needs child-lookup indexes: for tree rooted at r, matching
-  // tuples of child c are found by key(c) in store(c).
-  for (t <- rootedTrees; rel <- query.relations.indices if rel != t.root)
-    stores(rel).ensureIndex(t.key(rel))
+  /** One dictionary per key attribute list, shared by the stores. */
+  private val dicts = mutable.LinkedHashMap.empty[Vector[String], KeyDict]
 
   /** Insert without materializing the delta (cheap sync for huge steps). */
   def insertOnly(rel: String, values: Array[Long]): Unit = {
@@ -46,6 +46,13 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
   }.toArray
   private val keySlots: Array[Array[Array[Int]]] = rootedTrees.zip(visitOrder).map {
     case (tree, order) => order.map(c => tree.key(c).map(query.attributes.indexOf).toArray)
+  }.toArray
+
+  /** Per rooted tree, in the same order: the relation's index on its key,
+    * through which it is matched.
+    */
+  private val keyIndex: Array[Array[KeyIndex]] = rootedTrees.zip(visitOrder).map {
+    case (tree, order) => order.map(c => stores(c).ensureIndex(tree.key(c), dicts))
   }.toArray
 
   /** Insert `values` into `rel` and pass each result of the delta join to
@@ -74,17 +81,21 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
     out
   }
 
+  /** Bytes of the stores and the dictionaries (see [[Bytes]]). */
+  def approxBytes: Long = stores.map(_.approxBytes).sum + dicts.valuesIterator.map(_.approxBytes).sum
+
   private def rowOf(acc: Array[Long]): JoinRow = query.attributes.iterator.zip(acc.iterator).toMap
 
   /** Pass to `emit` every join result that contains tuple `t` of relation
     * `root`, by backtracking over the tree rooted there: each relation, in
-    * preorder, is matched through a hash semijoin lookup on its key, whose
-    * values its parent has already written into `acc`.
+    * preorder, is matched through the semijoin list of its key, whose values
+    * its parent has already written into `acc` and which is looked up in
+    * place there.
     */
   private def joinsOf(root: Int, t: Tup, emit: Array[Long] => Unit): Unit = {
-    val tree = rootedTrees(root)
     val order = visitOrder(root)
     val keys = keySlots(root)
+    val index = keyIndex(root)
     val acc = new Array[Long](query.attributes.length)
     def put(rel: Int, t: Tup): Unit = {
       val slots = slotsOf(rel)
@@ -95,10 +106,12 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
       if (d == order.length) emit(acc)
       else {
         val c = order(d)
-        val matches = stores(c).lookup(tree.key(c), Proj.key(acc, keys(d)))
+        val ix = index(d)
+        val k = ix.dict.find(acc, keys(d))
+        val n = if (k < 0) 0 else ix.ids.length(k)
         var i = 0
-        while (i < matches.length) {
-          put(c, stores(c).tuples(matches(i)))
+        while (i < n) {
+          put(c, stores(c).tuples(ix.ids(k)(i)))
           expand(d + 1)
           i += 1
         }

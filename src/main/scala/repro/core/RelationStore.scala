@@ -3,13 +3,14 @@ package repro.core
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
-/** Tuple arena plus hash indexes (semijoin lists) for one relation.
+/** Tuple arena plus key indexes (semijoin lists) for one relation.
   *
-  * Every index maps a projection key to the list of matching tuple ids in
-  * insertion order — exactly the `R_e ⋉ t` lists of Section 4, positionally
-  * addressable for retrieval. Indexes can be registered at any time (existing
-  * tuples are backfilled), and are deduplicated by attribute list so several
-  * join trees can share them.
+  * A [[KeyIndex]] on an attribute list encodes each tuple's projection once,
+  * at insert, as a dense key id of the list's [[KeyDict]], and keeps the ids
+  * of the tuples with each key in insertion order: the `R_e ⋉ t` lists of
+  * Section 4, positionally addressable for retrieval. Indexes can be
+  * registered at any time (existing tuples are backfilled), and are
+  * deduplicated by attribute list so several states can share them.
   */
 final class RelationStore(
     val schema: RelSchema,
@@ -19,26 +20,22 @@ final class RelationStore(
 
   val tuples = new ArrayBuffer[Tup]
 
-  private val indexes = mutable.LinkedHashMap.empty[Vector[String], IndexOn]
+  private var indexes = Array.empty[KeyIndex]
 
-  final class IndexOn(val attrs: Vector[String]) extends Serializable {
-    val idx: Array[Int] = schema.idxOf(attrs)
-    val map = mutable.HashMap.empty[IndexedSeq[Long], ArrayBuffer[Int]]
-    def add(id: Int, t: Tup): Unit =
-      map.getOrElseUpdate(Proj.key(t, idx), new ArrayBuffer[Int](4)) += id
-    def get(key: IndexedSeq[Long]): ArrayBuffer[Int] =
-      map.getOrElse(key, RelationStore.NoIds)
-  }
-
-  /** Register (or fetch) an index on `attrs`, backfilling existing tuples. */
-  def ensureIndex(attrs: Vector[String]): IndexOn =
-    indexes.getOrElseUpdate(attrs, {
-      val ix = new IndexOn(attrs)
+  /** Register (or fetch) the index on `attrs`, backfilling existing tuples.
+    * Its dictionary is `dicts(attrs)`, created on first use: the caller's
+    * dictionaries, one per attribute list, shared with its other stores.
+    */
+  def ensureIndex(attrs: Vector[String], dicts: mutable.Map[Vector[String], KeyDict]): KeyIndex =
+    indexes.find(_.attrs == attrs).getOrElse {
+      val ix = new KeyIndex(attrs, dicts.getOrElseUpdate(attrs, new KeyDict(attrs.size)), schema.idxOf(attrs))
       var id = 0
       while (id < tuples.length) { ix.add(id, tuples(id)); id += 1 }
+      indexes :+= ix
       ix
-    })
+    }
 
+  /** Append `t` and encode its key on every registered attribute list. */
   def insert(t: Tup): Int = {
     require(t.length == schema.arity,
       s"${schema.name}: tuple arity ${t.length} != ${schema.arity}")
@@ -47,25 +44,19 @@ final class RelationStore(
       throw new IllegalStateException(
         s"${schema.name}: relation full at $capacity tuples (tuple ids are Ints)")
     tuples += t
-    indexes.valuesIterator.foreach(_.add(id, t))
+    var i = 0
+    while (i < indexes.length) { indexes(i).add(id, t); i += 1 }
     id
   }
 
-  /** Ids of tuples matching `key` on `attrs` (index must be registered). */
-  def lookup(attrs: Vector[String], key: IndexedSeq[Long]): ArrayBuffer[Int] =
-    indexes.getOrElse(attrs,
-      throw new IllegalStateException(s"${schema.name}: no index on $attrs")).get(key)
-
   def size: Int = tuples.length
 
-  /** Rough memory accounting for the Fig. 11 experiment (bytes). */
-  def approxBytes: Long = {
-    val tupleBytes = tuples.length.toLong * (24L + 8L * schema.arity)
-    val indexBytes = indexes.valuesIterator.map { ix =>
-      ix.map.size.toLong * 80L + ix.map.valuesIterator.map(_.length.toLong * 8L + 40L).sum
-    }.sum
-    tupleBytes + indexBytes
-  }
+  /** Bytes of the tuples and of the indexes' columns and lists (see
+    * [[Bytes]]); the dictionaries are their owner's.
+    */
+  def approxBytes: Long =
+    Bytes.refs(tuples.length) + tuples.length.toLong * Bytes.longs(schema.arity) +
+      indexes.iterator.map(_.approxBytes).sum
 }
 
 object RelationStore {
@@ -74,7 +65,78 @@ object RelationStore {
     * `Int.MaxValue`.
     */
   val MaxTuples: Int = Int.MaxValue - 8
+}
 
-  /** Shared empty result — never mutated. */
-  val NoIds: ArrayBuffer[Int] = new ArrayBuffer[Int](0)
+/** A store's index on one attribute list: each tuple's key id (the key-id
+  * column, indexed by tuple id) and the semijoin lists, tuple ids by key id
+  * in insertion order.
+  */
+final class KeyIndex private[core] (val attrs: Vector[String], val dict: KeyDict, idx: Array[Int])
+    extends Serializable {
+  private var column = new Array[Int](0)
+
+  /** The tuples of each key. */
+  val ids = new IdLists
+
+  /** The key id of tuple `id`. */
+  def keyOf(id: Int): Int = column(id)
+
+  private[core] def add(id: Int, t: Array[Long]): Unit = {
+    val k = dict.idOf(t, idx)
+    if (id >= column.length) column = java.util.Arrays.copyOf(column, Slots.grownLength(column.length, id + 1))
+    column(id) = k
+    ids.add(k, id)
+  }
+
+  def approxBytes: Long = Bytes.Object + Bytes.ints(column.length) + ids.approxBytes
+}
+
+/** Unboxed `Int` lists in an array indexed by key id, each in insertion
+  * order: a store's semijoin lists, or a grouped state's groups by key.
+  */
+final class IdLists extends Serializable {
+  private var lists = new Array[Array[Int]](0)
+  private var lens = new Array[Int](0)
+
+  /** The length of list `k` (0 for a key never added to). */
+  def length(k: Int): Int = if (k < lens.length) lens(k) else 0
+
+  /** List `k`'s backing array: its first `length(k)` elements are the list.
+    * Only for a non-empty list.
+    */
+  def apply(k: Int): Array[Int] = lists(k)
+
+  /** List `k` as a copy (for tests and checks). */
+  def list(k: Int): Vector[Int] = Vector.tabulate(length(k))(lists(k)(_))
+
+  /** Every key id that has a list slot; the lists past it are empty. */
+  def keys: Range = lens.indices
+
+  def add(k: Int, v: Int): Unit = {
+    if (k >= lens.length) {
+      val n = Slots.grownLength(lens.length, k + 1)
+      lists = java.util.Arrays.copyOf(lists, n)
+      lens = java.util.Arrays.copyOf(lens, n)
+    }
+    var l = lists(k)
+    if (l == null) { l = new Array[Int](2); lists(k) = l }
+    else if (lens(k) == l.length) { l = java.util.Arrays.copyOf(l, Slots.grownLength(l.length, l.length + 1)); lists(k) = l }
+    l(lens(k)) = v
+    lens(k) += 1
+  }
+
+  def approxBytes: Long =
+    Bytes.Object + Bytes.refs(lists.length) + Bytes.ints(lens.length) +
+      lists.iterator.filter(_ != null).map(l => Bytes.ints(l.length)).sum
+}
+
+/** The figures `approxBytes` charges: a 64-bit JVM with compressed
+  * references, 16-byte object and array headers, sizes rounded up to 8.
+  */
+private[core] object Bytes {
+  val Object: Long = 16L
+  private def align(b: Long): Long = (b + 7) & ~7L
+  def ints(n: Int): Long = align(16L + 4L * n)
+  def longs(n: Int): Long = 16L + 8L * n
+  def refs(n: Int): Long = align(16L + 4L * n)
 }

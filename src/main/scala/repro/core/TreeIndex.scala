@@ -1,10 +1,9 @@
 package repro.core
 
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 
 import Pow2._
-import Proj.{JoinRow, Tup}
+import Proj.JoinRow
 import repro.core.baseline.Fenwick
 
 /** Shared instrumentation across the rooted trees of one engine. */
@@ -67,6 +66,8 @@ private[core] final class Slots extends Serializable {
     }
     slot(id) = v
   }
+
+  def approxBytes: Long = Bytes.Object + Bytes.longs(slot.length)
 }
 
 private[core] object Slots {
@@ -158,10 +159,10 @@ final class BucketKeyState private[core] (slots: Slots) extends KeyState {
   def weights: Iterator[(Int, Long)] =
     Iterator.range(0, phi.length).flatMap(i => Iterator.range(0, len(i)).map(phi(i)(_) -> (1L << i)))
 
-  /** The figure of the earlier map-based layout (per bucket and per member),
-    * kept so that `approxBytes` stays comparable across versions.
-    */
-  def approxBytes: Long = 64L * java.lang.Long.bitCount(mask) + 40L * len.iterator.map(_.toLong).sum
+  /** The object, `phi`, `len` and the bucket arrays (see [[Bytes]]). */
+  def approxBytes: Long =
+    Bytes.Object + Bytes.refs(phi.length) + Bytes.ints(len.length) +
+      phi.iterator.filter(_ != null).map(b => Bytes.ints(b.length)).sum
 }
 
 /** `Exact` key state (SJoin): every member holds a Fenwick slot in arrival
@@ -199,11 +200,8 @@ final class FenwickKeyState private[core] (slots: Slots) extends KeyState {
 
   def weights: Iterator[(Int, Long)] = Iterator.range(0, fen.size).map(s => members(s) -> fen.weight(s))
 
-  /** The figure of the earlier map-based layout (member slot, position-map
-    * entry, Fenwick cell), kept so that `approxBytes` stays comparable
-    * across versions.
-    */
-  def approxBytes: Long = fen.size.toLong * (8L + 48L + 8L)
+  /** The object, `members` and the Fenwick tree (see [[Bytes]]). */
+  def approxBytes: Long = Bytes.Object + Bytes.ints(members.length) + fen.approxBytes
 }
 
 /** How a [[TreeIndex]] counts. `Pow2` (RSJoin) multiplies a parent's degree
@@ -253,11 +251,17 @@ private[core] object CountPolicy {
   * [[FullJoinSampler]] (operation (2) of Theorem 4.2); it exists only with
   * full-join tracking.
   *
-  * The key is `attrs(rel) ∩ attrs(parent)`; the children are the states
-  * `c→rel` of `rel`'s other neighbours `c`, in relation-index order. With
-  * `grouping`, a non-root state whose attributes strictly contain the join
-  * attributes `ē = key ∪ ⋃ key(child)` operates on the grouped view `π_ē R`
-  * with multiplicities `feq` (Section 4.4, Algorithms 10–11).
+  * The key is `attrs(rel) ∩ attrs(parent)` in query-attribute order, so that
+  * both directions of an edge share one dictionary; the children are the
+  * states `c→rel` of `rel`'s other neighbours `c`, in relation-index order.
+  * Keys are key ids of the engine's dictionaries, read from the store's
+  * key-id columns: `byKey` is indexed by key id.
+  *
+  * With `grouping`, a non-root state whose attributes strictly contain the
+  * join attributes `ē = key ∪ ⋃ key(child)` operates on the grouped view
+  * `π_ē R` (Section 4.4, Algorithms 10–11), kept as a view over the store: a
+  * group is its ē key id, its multiplicity is the length of its ē list, and
+  * its member tuple is the first tuple of that list.
   *
   * @param treeCount how many rooted trees hold this state
   * @param owner     the lowest-indexed of those trees' roots
@@ -268,6 +272,7 @@ final class EdgeState private[core] (
     val children: Array[EdgeState],
     val keyAttrs: Vector[String],
     private[core] val store: RelationStore,
+    dicts: mutable.Map[Vector[String], KeyDict],
     grouping: Boolean,
     val treeCount: Int,
     val owner: Int,
@@ -284,42 +289,44 @@ final class EdgeState private[core] (
   val grouped: Boolean =
     grouping && !isRoot && children.nonEmpty && groupAttrs.size < baseSchema.arity
 
-  /** Schema of member tuples: the grouped view π_ē R, or R itself. */
-  val memberSchema: RelSchema =
-    if (grouped) RelSchema(baseSchema.name + "#g", groupAttrs) else baseSchema
+  /** The store's index on this state's key, and on each child's key: the
+    * key ids of a member's tuple. The children's are also the lists
+    * propagation walks when a child's count changes.
+    */
+  private[core] val keyIx: KeyIndex = store.ensureIndex(keyAttrs, dicts)
+  private[core] val childIx: Array[KeyIndex] = children.map(c => store.ensureIndex(c.keyAttrs, dicts))
 
-  /** Group-view storage (grouped states only). */
-  val gstore: RelationStore = if (grouped) new RelationStore(memberSchema) else null
-  val feq: ArrayBuffer[Long] = if (grouped) new ArrayBuffer[Long] else null
-  val groupIdOf: mutable.HashMap[IndexedSeq[Long], Int] =
-    if (grouped) mutable.HashMap.empty else null
+  /** Grouped: the store's index on ē, whose key ids are the groups. */
+  private[core] val groupIx: KeyIndex = if (grouped) store.ensureIndex(groupAttrs, dicts) else null
 
-  /** The members: group-view tuples, or base tuples. */
-  val memberStore: RelationStore = if (grouped) gstore else store
+  /** Grouped: for each child, the groups by the child's key id, in the order
+    * the groups were created.
+    */
+  private[core] val groupsByChild: Array[IdLists] = if (grouped) children.map(_ => new IdLists) else null
 
-  // Projection position arrays, compiled once.
-  val keyIdx: Array[Int] = memberSchema.idxOf(keyAttrs)
-  val childKeyIdx: Array[Array[Int]] = children.map(c => memberSchema.idxOf(c.keyAttrs))
-  val rawChildKeyIdx: Array[Array[Int]] = children.map(c => baseSchema.idxOf(c.keyAttrs))
-  val groupIdx: Array[Int] = baseSchema.idxOf(groupAttrs)
-
-  val byKey = mutable.HashMap.empty[IndexedSeq[Long], KeyState]
+  /** The key state of each key id, or null. */
+  private[core] var byKey = new Array[KeyState](0)
 
   /** The slots of this state's members, shared by its key states. */
   private[core] val slots = new Slots
 
   /** The states this one is a child of (`parent→x` for every `x ≠ rel`, and
     * `parent`'s root state): a change of this state's `cnt~` is a message to
-    * each of them.
+    * each of them. `targetMembers(i)` lists target i's members by this
+    * state's key id.
     */
   private[core] var targets: Array[EdgeState] = Array.empty
+  private[core] var targetMembers: Array[IdLists] = Array.empty
 
-  // Propagation looks members up by each child's key; grouped states also
-  // look up the raw tuples of a group by ē.
-  for (c <- children) memberStore.ensureIndex(c.keyAttrs)
-  if (grouped) store.ensureIndex(groupAttrs)
+  /** The tuple a member stands for: itself, or a group's first tuple. */
+  private[core] def tupleOf(member: Int): Int = if (grouped) groupIx.ids(member)(0) else member
 
-  def memberTuple(id: Int): Tup = memberStore.tuples(id)
+  private[core] def keyState(k: Int): KeyState = if (k < byKey.length) byKey(k) else null
+
+  def approxBytes: Long =
+    Bytes.Object + Bytes.refs(byKey.length) + slots.approxBytes +
+      byKey.iterator.filter(_ != null).map(_.approxBytes).sum +
+      (if (grouped) groupsByChild.iterator.map(_.approxBytes).sum else 0L)
 }
 
 /** The dynamic index of Section 4 for all rooted join trees of an acyclic
@@ -337,6 +344,10 @@ final class EdgeState private[core] (
   * is the one its key state stores, so no caller rebuilds it from the
   * children's counts. [[TreeIndex]] is one rooted tree's view of it.
   *
+  * It owns one [[KeyDict]] per join-attribute list, which its states
+  * register with the stores: every key is encoded once, when its tuple is
+  * inserted, and the propagate, size and retrieve paths only read key ids.
+  *
   * `counters.propagations` keeps Fig. 9's tree-by-tree count: an update of a
   * member of a state counts once per tree holding the state.
   */
@@ -351,6 +362,9 @@ final class EdgeIndex private[core] (
 ) extends Serializable {
 
   private val n = query.arity
+
+  /** One dictionary per join-attribute list. */
+  private val dicts = mutable.LinkedHashMap.empty[Vector[String], KeyDict]
 
   /** Second result of [[KeyState.locate]]. */
   private val offset = new Array[Long](1)
@@ -385,9 +399,12 @@ final class EdgeIndex private[core] (
   private def newState(e: Int, p: Int, roots: Vector[Int]): EdgeState = {
     val keyAttrs =
       if (p < 0) Vector.empty[String]
-      else { val pAttrs = query.relations(p).attrs.toSet; query.relations(e).attrs.filter(pAttrs) }
+      else {
+        val (eAttrs, pAttrs) = (query.relations(e).attrs.toSet, query.relations(p).attrs.toSet)
+        query.attributes.filter(a => eAttrs(a) && pAttrs(a))
+      }
     val children = nbrs(e).filter(_ != p).map(edgeState(_, e)).toArray
-    new EdgeState(e, p, children, keyAttrs, stores(e), grouping, roots.size, roots.min)
+    new EdgeState(e, p, children, keyAttrs, stores(e), dicts, grouping, roots.size, roots.min)
   }
 
   private val rootStates: Array[EdgeState] =
@@ -402,68 +419,70 @@ final class EdgeIndex private[core] (
     */
   val states: Vector[EdgeState] = statesOf.toVector.flatten
 
-  for (s <- states; c <- s.children) c.targets :+= s
+  for (s <- states; (c, i) <- s.children.zipWithIndex) {
+    c.targets :+= s
+    c.targetMembers :+= (if (s.grouped) s.groupsByChild(i) else s.childIx(i).ids)
+  }
 
-  /** The states `c→r` below relation `r` as a root, and where their keys
-    * sit in r's tuples: the factors of `ΔJ` for a tuple inserted into r.
+  /** The states `c→r` below relation `r` as a root, and r's indexes on their
+    * keys: the factors of `ΔJ` for a tuple inserted into r.
     */
   private val rootChildren: Array[Array[EdgeState]] =
     Array.tabulate(n)(r => nbrs(r).map(edgeState(_, r)).toArray)
-  private val rootChildKeyIdx: Array[Array[Array[Int]]] =
-    Array.tabulate(n)(r => rootChildren(r).map(c => query.relations(r).idxOf(c.keyAttrs)))
+  private val rootChildIx: Array[Array[KeyIndex]] =
+    Array.tabulate(n)(r => rootChildren(r).map(c => stores(r).ensureIndex(c.keyAttrs, dicts)))
 
   /** State `e→p`, or `e`'s root state for `p = -1` (null without full-join
     * tracking).
     */
   private[core] def state(e: Int, p: Int): EdgeState = if (p < 0) rootStates(e) else byEdge((e, p))
 
-  /** `s`'s state for `key`, or null when no member has that key. */
-  private def keyState(s: EdgeState, key: IndexedSeq[Long]): KeyState = s.byKey.getOrElse(key, null)
-
   /** The exact `cnt[e→p, t]` of a key state — 0 when the key is absent. */
   private def cntOf(ks: KeyState): Long = if (ks == null) 0L else ks.cnt
 
-  /** The count a parent multiplies by: `cnt~ = ceilPow2(cnt)` under `Pow2`,
-    * `cnt` under `Exact`.
+  /** Degree of a member: `feq~ · Π_child cnt~` (Section 4.3/4.4), where
+    * `feq` is a group's number of tuples (1 ungrouped).
     */
-  private def cntTildeOf(s: EdgeState, key: IndexedSeq[Long]): Long =
-    policy.round(cntOf(keyState(s, key)))
-
-  /** Degree of a member: `feq~ · Π_child cnt~` (Section 4.3/4.4). */
-  private def degreeOf(s: EdgeState, memberId: Int): Long = {
-    val t = s.memberTuple(memberId)
-    var d = if (s.grouped) policy.round(s.feq(memberId)) else 1L
+  private def degreeOf(s: EdgeState, member: Int): Long = {
+    val t = s.tupleOf(member)
+    var d = if (s.grouped) policy.round(s.groupIx.ids.length(member)) else 1L
     var i = 0
     while (d > 0 && i < s.children.length) {
-      d = mulCap(d, cntTildeOf(s.children(i), Proj.key(t, s.childKeyIdx(i))))
+      d = mulCap(d, policy.round(cntOf(s.children(i).keyState(s.childIx(i).keyOf(t)))))
       i += 1
     }
     d
   }
 
   /** IndexUpdate (Algorithm 7 / Algorithm 10): recompute the degree of
-    * member `memberId` of `s`, store it in its key state (which moves the
-    * member from `Φ_old` to `Φ_new` and adjusts `cnt`), and, if the rounded
-    * count changed, pass the change on to every target.
+    * `member` of `s`, store it in its key state (which moves the member from
+    * `Φ_old` to `Φ_new` and adjusts `cnt`), and, if the rounded count
+    * changed, pass the change on to every target.
     */
-  private def update(s: EdgeState, memberId: Int): Unit = {
-    val now = degreeOf(s, memberId)
+  private def update(s: EdgeState, member: Int): Unit = {
+    val now = degreeOf(s, member)
     if (now == 0 && policy.skipsZero) return
-    val key = Proj.key(s.memberTuple(memberId), s.keyIdx)
-    val ks = s.byKey.getOrElseUpdate(key, policy.newKeyState(s.slots))
+    val k = s.keyIx.keyOf(s.tupleOf(member))
+    if (k >= s.byKey.length) s.byKey = java.util.Arrays.copyOf(s.byKey, Slots.grownLength(s.byKey.length, k + 1))
+    var ks = s.byKey(k)
+    if (ks == null) { ks = policy.newKeyState(s.slots); s.byKey(k) = ks }
     val oldRounded = policy.round(ks.cnt)
-    ks.set(memberId, now)
+    ks.set(member, now)
     if (policy.round(ks.cnt) != oldRounded) {
       var ti = 0
       while (ti < s.targets.length) {
         val p = s.targets(ti)
-        val members = p.memberStore.lookup(s.keyAttrs, key)
-        var m = 0
-        while (m < members.length) {
-          counters.propagations += p.treeCount
-          counters.edgePropagations += 1
-          update(p, members(m))
-          m += 1
+        val lists = s.targetMembers(ti)
+        val len = lists.length(k)
+        if (len > 0) {
+          val members = lists(k)
+          var m = 0
+          while (m < len) {
+            counters.propagations += p.treeCount
+            counters.edgePropagations += 1
+            update(p, members(m))
+            m += 1
+          }
         }
         ti += 1
       }
@@ -471,7 +490,7 @@ final class EdgeIndex private[core] (
   }
 
   /** React to the insertion of base tuple `tupId` into relation `rel` (the
-    * tuple is already in the store, all indexes updated): apply it to each
+    * tuple is already in the store, its key ids encoded): apply it to each
     * of rel's states.
     */
   def onInsert(rel: Int, tupId: Int): Unit = {
@@ -480,24 +499,21 @@ final class EdgeIndex private[core] (
     while (i < ss.length) { insert(ss(i), tupId); i += 1 }
   }
 
-  /** Apply the insertion of base tuple `tupId` of `s.rel` to `s`. */
+  /** Apply the insertion of base tuple `tupId` of `s.rel` to `s`. A grouped
+    * state's member is the tuple's group: new when the tuple is the first of
+    * its ē list, reweighed when `feq~` changes (`cnt` counts `feq~`, not
+    * `feq`).
+    */
   private[core] def insert(s: EdgeState, tupId: Int): Unit =
     if (!s.grouped) update(s, tupId)
     else {
-      val t = s.store.tuples(tupId)
-      val gKey = Proj.key(t, s.groupIdx)
-      s.groupIdOf.get(gKey) match {
-        case None =>
-          val gid = s.gstore.insert(Proj.arr(t, s.groupIdx))
-          s.groupIdOf(gKey) = gid
-          s.feq += 1L
-          update(s, gid)
-        case Some(gid) =>
-          val fOld = s.feq(gid)
-          s.feq(gid) = fOld + 1
-          // feq~ unchanged: cnt is untouched (it counts feq~, not feq).
-          if (policy.round(fOld + 1) != policy.round(fOld)) update(s, gid)
-      }
+      val g = s.groupIx.keyOf(tupId)
+      val copies = s.groupIx.ids.length(g)
+      if (copies == 1) {
+        var i = 0
+        while (i < s.children.length) { s.groupsByChild(i).add(s.childIx(i).keyOf(tupId), g); i += 1 }
+        update(s, g)
+      } else if (policy.round(copies) != policy.round(copies - 1)) update(s, g)
     }
 
   // -------------------------------------------------------------------------
@@ -519,14 +535,11 @@ final class EdgeIndex private[core] (
     } else {
       // Alg. 11 lines 19–23: pick which copy inside the group, dummies past
       // feq. Each copy owns h = Π_child cnt~ = degree / feq~ positions.
-      val h = ks.degree(member) / policy.round(s.feq(member))
+      val copies = s.groupIx.ids.length(member)
+      val h = ks.degree(member) / policy.round(copies)
       val copy = ell / h
-      if (copy >= s.feq(member)) return false
-      // gt is already laid out in ē order, so it is its own lookup key.
-      val gt = s.memberTuple(member)
-      val rawIds = s.store.lookup(s.groupAttrs,
-        scala.collection.immutable.ArraySeq.unsafeWrapArray(gt))
-      retrieveRaw(s, rawIds(Math.toIntExact(copy)), ell - copy * h)
+      if (copy >= copies) return false
+      retrieveRaw(s, s.groupIx.ids(member)(Math.toIntExact(copy)), ell - copy * h)
     }
   }
 
@@ -537,12 +550,11 @@ final class EdgeIndex private[core] (
   private def retrieveRaw(s: EdgeState, tupId: Int, z: Long): Boolean = {
     ids(s.rel) = tupId
     if (s.children.isEmpty) { require(z == 0, s"leaf residual $z"); return true }
-    val t = s.store.tuples(tupId)
     var rem = z
     var ci = s.children.length - 1
     while (ci >= 0) {
       val c = s.children(ci)
-      val ks = keyState(c, Proj.key(t, s.rawChildKeyIdx(ci)))
+      val ks = c.keyState(s.childIx(ci).keyOf(tupId))
       val size = policy.round(cntOf(ks))
       val zi = rem % size
       rem = rem / size
@@ -566,15 +578,14 @@ final class EdgeIndex private[core] (
     */
   def deltaBatch(root: Int, tupId: Int): Batch[JoinRow] = {
     val children = rootChildren(root)
-    val keyIdx = rootChildKeyIdx(root)
-    val t = stores(root).tuples(tupId)
+    val childIx = rootChildIx(root)
     val m = children.length
     val keyStates = new Array[KeyState](m)
     val sizes = new Array[Long](m)
     var total = 1L
     var ci = 0
     while (ci < m) {
-      keyStates(ci) = keyState(children(ci), Proj.key(t, keyIdx(ci)))
+      keyStates(ci) = children(ci).keyState(childIx(ci).keyOf(tupId))
       sizes(ci) = cntOf(keyStates(ci))
       total = mulCap(total, sizes(ci))
       ci += 1
@@ -599,65 +610,65 @@ final class EdgeIndex private[core] (
     }
   }
 
-  /** Size of the implicit dense array over the full `Q(R)` (the ∅-key of
-    * `root`'s root state); exactly `|Q(R)|` under `Exact`.
+  /** Size of the implicit dense array over the full `Q(R)` (the ∅ key, id 0,
+    * of `root`'s root state); exactly `|Q(R)|` under `Exact`.
     */
   def fullCount(root: Int): Long = {
     require(trackRoot, "fullCount requires trackFullJoin = true")
-    cntOf(keyState(rootStates(root), Proj.emptyKey))
+    cntOf(rootStates(root).keyState(0))
   }
 
   /** Position `z` of the full-join implicit array; None if dummy. */
   def retrieveFull(root: Int, z: Long): Option[JoinRow] = {
     val s = rootStates(root)
-    if (retrieveKey(s, keyState(s, Proj.emptyKey), z)) Some(new IdRow(layout, ids.clone())) else None
+    if (retrieveKey(s, s.keyState(0), z)) Some(new IdRow(layout, ids.clone())) else None
   }
 
   /** Test-facing consistency check of every documented invariant of `s`:
     * every member's stored degree (its bucket's `2^i`, or its Fenwick weight)
-    * equals its recomputed degree, members sit under their own key, `cnt` is
-    * the sum of the stored degrees, and a grouped state's `feq` equals the
-    * raw-list length. Throws on violation.
+    * equals its recomputed degree, members sit under their own key id, and
+    * `cnt` is the sum of the stored degrees. A grouped state lists each of
+    * the store's groups once under its key for each child, in the order the
+    * groups were created, and has no other member. Throws on violation.
     */
   def checkInvariants(s: EdgeState): Unit = {
     val at = s"${query.name}/state=${s.rel}→${if (s.isRoot) "root" else s.parent}"
-    for ((key, ks) <- s.byKey) {
+    for (k <- s.byKey.indices; ks = s.byKey(k) if ks != null) {
       var sum = 0L
       for ((m, w) <- ks.weights) {
         val d = degreeOf(s, m)
         require(d == w && ks.degree(m) == w, s"$at: member $m degree $d, stored $w")
-        require(Proj.key(s.memberTuple(m), s.keyIdx) == key,
-          s"$at: member $m stored under wrong key")
+        require(s.keyIx.keyOf(s.tupleOf(m)) == k, s"$at: member $m stored under wrong key")
         sum += w
       }
-      require(sum == ks.cnt, s"$at/key=$key: cnt=${ks.cnt} != stored sum $sum")
+      require(sum == ks.cnt, s"$at/key=${s.keyIx.dict.key(k)}: cnt=${ks.cnt} != stored sum $sum")
     }
     if (s.grouped) {
-      var totalFeq = 0L
-      for (gid <- s.feq.indices) {
-        val gt = s.memberTuple(gid)
-        val raw = s.store.lookup(s.groupAttrs,
-          scala.collection.immutable.ArraySeq.unsafeWrapArray(gt))
-        require(raw.length.toLong == s.feq(gid),
-          s"$at: group $gid feq=${s.feq(gid)} != raw list ${raw.length}")
-        totalFeq += s.feq(gid)
+      // A group is created by its first tuple, so creation order is the
+      // order of first tuple ids.
+      val groups = (0 until s.store.size).filter(id => s.tupleOf(s.groupIx.keyOf(id)) == id)
+        .map(s.groupIx.keyOf)
+      val groupSet = groups.toSet
+      for (i <- s.children.indices) {
+        val lists = s.groupsByChild(i)
+        val listed = lists.keys.flatMap { k =>
+          val gs = lists.list(k)
+          for (g <- gs) require(s.childIx(i).keyOf(s.tupleOf(g)) == k, s"$at: group $g under wrong key")
+          require(gs.map(s.tupleOf) == gs.map(s.tupleOf).sorted, s"$at: groups out of creation order")
+          gs
+        }
+        require(listed.sorted == groups.sorted, s"$at: groups listed ${listed.size}, created ${groups.size}")
       }
-      require(totalFeq == s.store.size, s"$at: Σfeq=$totalFeq != relation size ${s.store.size}")
+      for (ks <- s.byKey if ks != null; (g, _) <- ks.weights)
+        require(groupSet(g), s"$at: member $g is no group")
     }
   }
 
-  /** Rough structure-proportional memory accounting (Fig. 11), each shared
-    * state counted once.
+  /** Bytes of the arrays the index holds (Fig. 11): each shared state once,
+    * and the dictionaries; the stores' tuples, columns and lists are the
+    * stores' (see [[Bytes]]).
     */
-  def approxBytes: Long = {
-    var bytes = 0L
-    for (s <- states) {
-      if (s.grouped) bytes += s.gstore.approxBytes + s.feq.length * 8L
-      bytes += s.byKey.size.toLong * 96L
-      for (ks <- s.byKey.valuesIterator) bytes += ks.approxBytes
-    }
-    bytes
-  }
+  def approxBytes: Long = states.iterator.map(_.approxBytes).sum + dicts.valuesIterator.map(_.approxBytes).sum
 }
 
 /** The index of one rooted join tree (Section 4), as a view of the engine's

@@ -1,6 +1,6 @@
 package repro.core.baseline
 
-import repro.core.Slots
+import repro.core.{Bytes, Slots}
 
 /** Growable Fenwick (binary indexed) tree over Long weights.
   *
@@ -30,6 +30,8 @@ final class Fenwick extends Serializable {
   }
 
   def weight(i: Int): Long = prefix(i + 1) - prefix(i)
+
+  def approxBytes: Long = Bytes.Object + Bytes.longs(tree.length)
 
   /** Append a new slot with weight `w` in O(log n): the new cell covers the
     * range (n − lowbit(n), n], whose sum is `w` plus the already-stored

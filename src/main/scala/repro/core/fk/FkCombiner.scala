@@ -72,9 +72,8 @@ final class FkCombiner(val baseQuery: JoinQuery, fks: Seq[FkSpec]) extends Seria
     out
   }
 
-  /** Bytes held by the group joiners' base-relation stores. */
-  def approxBytes: Long =
-    enumerators.iterator.filter(_ != null).map(_.stores.map(_.approxBytes).sum).sum
+  /** Bytes held by the group joiners' stores and dictionaries. */
+  def approxBytes: Long = enumerators.iterator.filter(_ != null).map(_.approxBytes).sum
 }
 
 /** An RSJoin or SJoin engine wrapped behind foreign-key combination. */

@@ -105,7 +105,7 @@ class KeyStateSpec extends SparkSpec {
   private def degrees(e: ReservoirJoinEngine): Map[(Int, Int), Long] =
     (for {
       (s, si) <- e.index.states.zipWithIndex
-      ks <- s.byKey.valuesIterator
+      ks <- s.byKey.iterator if ks != null
       (m, d) <- ks.weights
     } yield (si, m) -> d).toMap
 

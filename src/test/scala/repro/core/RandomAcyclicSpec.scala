@@ -1,0 +1,183 @@
+package repro.core
+
+import scala.collection.mutable
+import scala.collection.mutable.ArrayBuffer
+
+import repro.{SparkSpec, TestKit}
+import repro.core.Proj.JoinRow
+import repro.core.baseline.SJoinEngine
+
+/** Differential test on random α-acyclic queries: 2–7 relations grown as a
+  * random join tree, with multi-attribute join keys (in a different order in
+  * each relation), payload columns, the odd cross product, and skewed seeded
+  * streams. After every insert, the plain, grouped and exact engines must
+  * each enumerate `ΔJ` so that every real position is a row of `ΔQ` and
+  * every row of `ΔQ` appears exactly once (`|ΔJ| = |ΔQ|` under exact
+  * counts, the density bound under `Pow2`), and keep their invariants. At
+  * the end of the stream the three engines' full joins must be the same
+  * multiset as the oracle's. The oracle is a nested-loop join over the raw
+  * tuples, independent of the stores and enumerators the engines use.
+  */
+class RandomAcyclicSpec extends SparkSpec {
+  import RandomAcyclicSpec._
+
+  for (n <- 2 to 7) {
+    test(s"random acyclic queries with $n relations: ΔJ = ΔQ row by row, invariants, one full join") {
+      var grouped = 0
+      var wideKeys = 0
+      var rows = 0L
+      TestKit.forCases(CasesPerArity, seed0 = 7000L + n) { rng =>
+        val q = randomQuery(n, rng)
+        val stream = randomStream(q, steps = 10 + 6 * n, rng)
+        val cov = check(q, stream)
+        grouped += cov.grouped
+        wideKeys += cov.wideKeys
+        rows += cov.rows
+      }
+      // The generator reaches what the catalog queries do not.
+      assert(rows > 0, "no query joined")
+      assert(wideKeys > 0, "no join key of two or more attributes")
+      if (n >= 3) assert(grouped > 0, "no grouped state")
+    }
+  }
+}
+
+object RandomAcyclicSpec {
+
+  /** Six arities, 40 queries each: 240 random queries per run. */
+  val CasesPerArity = 40
+
+  /** A random α-acyclic query over `n` relations, grown as a join tree: each
+    * new relation copies one to three join attributes of a random earlier
+    * relation (none, rarely: a cross product) and adds fresh join and payload
+    * attributes, in shuffled order. Every attribute then sits in a connected
+    * part of that tree, so the query is acyclic.
+    */
+  def randomQuery(n: Int, rng: Rng): JoinQuery = {
+    var fresh = 0
+    def attr(prefix: String): String = { fresh += 1; s"$prefix$fresh" }
+    def shuffle(as: Vector[String]): Vector[String] = {
+      val a = as.toArray
+      for (i <- a.length - 1 to 1 by -1) {
+        val j = rng.nextInt(i + 1)
+        val x = a(i); a(i) = a(j); a(j) = x
+      }
+      a.toVector
+    }
+    val rels = ArrayBuffer(shuffle(
+      Vector.fill(1 + rng.nextInt(3))(attr("a")) ++ Vector.fill(rng.nextInt(2))(attr("p"))))
+    for (_ <- 1 until n) {
+      val joinable = rels(rng.nextInt(rels.size)).filter(_.startsWith("a"))
+      val shared =
+        if (joinable.isEmpty || rng.nextInt(12) == 0) Vector.empty[String]
+        else shuffle(joinable).take(1 + rng.nextInt(math.min(3, joinable.size)))
+      val own = Vector.fill(rng.nextInt(3))(attr("a")) ++ Vector.fill(rng.nextInt(3))(attr("p"))
+      rels += shuffle(if (shared.isEmpty && own.isEmpty) Vector(attr("a")) else shared ++ own)
+    }
+    JoinQuery(s"random$n", rels.zipWithIndex.map { case (as, i) => RelSchema(s"r$i", as) }.toVector)
+  }
+
+  /** Distinct tuples per relation. Join values are skewed towards 1 over a
+    * domain of 3 (P(1) = 5/9); payload values are uniform over 6.
+    */
+  def randomStream(q: JoinQuery, steps: Int, rng: Rng): Vector[(String, Array[Long])] = {
+    val seen = q.relations.map(_ => mutable.HashSet.empty[Seq[Long]])
+    val out = Vector.newBuilder[(String, Array[Long])]
+    var produced = 0
+    var guard = 0
+    while (produced < steps && guard < steps * 50) {
+      guard += 1
+      val r = rng.nextInt(q.arity)
+      val schema = q.relations(r)
+      val t = schema.attrs.map { a =>
+        if (a.startsWith("p")) 1L + rng.nextLong(6)
+        else 1L + math.min(rng.nextLong(3), rng.nextLong(3))
+      }.toArray
+      if (seen(r).add(t.toSeq)) { out += ((schema.name, t)); produced += 1 }
+    }
+    out.result()
+  }
+
+  /** Join results of `q` over `tuples` (per relation), by nested loops:
+    * every result, or with `only = (r, t)` those that use tuple `t` of
+    * relation `r`. Relations are visited so that each one after the first
+    * shares an attribute with an earlier one where it can.
+    */
+  def nestedLoop(q: JoinQuery, tuples: IndexedSeq[collection.Seq[Array[Long]]],
+                 only: Option[(Int, Array[Long])]): Vector[Map[String, Long]] = {
+    val start = only.fold(0)(_._1)
+    val order = ArrayBuffer(start)
+    while (order.size < q.arity) {
+      val rest = q.relations.indices.filterNot(order.contains)
+      val seen = order.flatMap(q.relations(_).attrs).toSet
+      order += rest.find(q.relations(_).attrs.exists(seen)).getOrElse(rest.head)
+    }
+    val slot = q.attributes.zipWithIndex.toMap
+    val value = new Array[Long](q.attributes.size)
+    val bound = new Array[Boolean](q.attributes.size)
+    val out = Vector.newBuilder[Map[String, Long]]
+    def go(d: Int): Unit =
+      if (d == order.size) out += q.attributes.zip(value).toMap
+      else {
+        val r = order(d)
+        val pos = q.relations(r).attrs.map(slot)
+        val candidates = only match {
+          case Some((`r`, t)) => Seq(t)
+          case _              => tuples(r).toSeq
+        }
+        for (t <- candidates) {
+          if (pos.indices.forall(i => !bound(pos(i)) || value(pos(i)) == t(i))) {
+            val newly = pos.indices.filterNot(i => bound(pos(i)))
+            for (i <- newly) { bound(pos(i)) = true; value(pos(i)) = t(i) }
+            go(d + 1)
+            for (i <- newly) bound(pos(i)) = false
+          }
+        }
+      }
+    go(0)
+    out.result()
+  }
+
+  final case class Coverage(grouped: Int, wideKeys: Int, rows: Long)
+
+  /** Every real position of `batch`, in position order. */
+  private def reals(batch: Batch[JoinRow]): Vector[JoinRow] =
+    (0L until batch.size).iterator.flatMap(z => batch.retrieve(z)).toVector
+
+  private def counts(rows: Seq[JoinRow]): Map[JoinRow, Int] =
+    rows.groupBy(identity).map { case (r, rs) => r -> rs.size }
+
+  /** Run the three engines side by side over `stream` against the oracle. */
+  def check(q: JoinQuery, stream: Seq[(String, Array[Long])]): Coverage = {
+    val engines = Vector(
+      "plain" -> new ReservoirJoinEngine(q, 1, 7),
+      "grouped" -> new ReservoirJoinEngine(q, 1, 7, grouping = true),
+      "exact" -> new SJoinEngine(q, 1, 7))
+    val phi = math.pow(0.5, 2 * q.arity - 2)
+    val tuples = q.relations.map(_ => ArrayBuffer.empty[Array[Long]])
+    for (((rel, t), step) <- stream.zipWithIndex) {
+      val r = q.relIdx(rel)
+      tuples(r) += t
+      val expected = nestedLoop(q, tuples.toVector, Some((r, t))).toSet[JoinRow]
+      for ((name, e) <- engines) {
+        val at = s"${q.relations.mkString(" ")}: $name engine, step $step ($rel ${t.mkString(",")})"
+        val batch = e.updateOnly(rel, t.clone())
+        val got = reals(batch)
+        assert(got.size == got.toSet.size, s"$at: a row of ΔQ appears twice in ΔJ")
+        assert(got.toSet == expected,
+          s"$at: ΔJ rows ${got.toSet.take(4)} != ΔQ ${expected.take(4)} (|ΔJ| = ${batch.size})")
+        if (name == "exact") assert(batch.size == expected.size.toLong, s"$at: |ΔJ| ${batch.size} != |ΔQ| ${expected.size}")
+        else assert(got.size >= phi * batch.size - 1e-9, s"$at: density ${got.size}/${batch.size} below $phi")
+        e.index.states.foreach(e.index.checkInvariants)
+      }
+    }
+    val full = counts(nestedLoop(q, tuples.toVector, None))
+    for ((name, e) <- engines) {
+      val rows = (0L until e.fullCount).flatMap(z => e.index.retrieveFull(0, z))
+      assert(counts(rows) == full, s"${q.relations.mkString(" ")}: $name engine's full join differs")
+      if (name == "exact") assert(e.fullCount == full.size.toLong)
+    }
+    val states = engines(1)._2.index.states
+    Coverage(states.count(_.grouped), states.count(_.keyAttrs.size > 1), full.size.toLong)
+  }
+}

@@ -70,7 +70,7 @@ class TreeIndexSpec extends SparkSpec {
   test("grouping is a no-op decision on graph queries (no payload attrs)") {
     val q = Queries.lineK(3)
     val e = new ReservoirJoinEngine(q, 1, 7, grouping = true)
-    // No node has attrs outside ē on line joins, so no gstore exists.
+    // No node has attrs outside ē on line joins, so none is grouped.
     for (tree <- e.trees; node <- tree.nodes) assert(!node.grouped)
   }
 
@@ -115,7 +115,10 @@ class TreeIndexSpec extends SparkSpec {
       stream.foreach { case (rel, t) => e.updateOnly(rel, t) }
       val brute = new DeltaaCount(q, stream)
       for (tree <- e.trees; node <- tree.nodes if !node.isRoot) {
-        for ((key, ks) <- node.byKey) {
+        for (k <- node.byKey.indices; ks = node.byKey(k) if ks != null) {
+          // The key id's values, in the order the rooted tree lists them.
+          val values = node.keyIx.dict.key(k)
+          val key = tree.tree.key(node.rel).map(a => values(node.keyAttrs.indexOf(a)))
           val exact = brute.subtreeCount(tree.tree, node.rel, key)
           assert(ks.cnt >= exact, s"cnt ${ks.cnt} < exact degree $exact")
           val bound = math.pow(2.0, countSubtree(tree.tree, node.rel)).toLong
@@ -136,10 +139,10 @@ class TreeIndexSpec extends SparkSpec {
       val schema = q.relations(rel)
       val keyIdx = schema.idxOf(tree.key(rel))
       byRel.getOrElse(schema.name, Nil).iterator.map { t =>
-        if (Proj.key(t, keyIdx) == key) {
+        if (keyIdx.map(t).toIndexedSeq == key) {
           tree.children(rel).map { c =>
             val childKeyIdx = schema.idxOf(tree.key(c))
-            subtreeCount(tree, c, Proj.key(t, childKeyIdx))
+            subtreeCount(tree, c, childKeyIdx.map(t).toIndexedSeq)
           }.product
         } else 0L
       }.sum
