@@ -55,7 +55,7 @@ object Experiments {
     val rows = ArrayBuffer.empty[Seq[String]]
 
     def run(query: String, engine: String, mk: () => SamplingEngine, w: Seq[(String, Array[Long])]): FeedResult = {
-      val r = feedTimed(mk().insert, w, s.budgetSec)
+      val r = feed(mk().insert, w, s.budgetSec)
       rows += Seq(query, engine, r.pretty)
       r
     }
@@ -71,7 +71,7 @@ object Experiments {
     {
       val edges = StreamGen.graphEdges(s.graphEdges / 4, s.graphNodes / 2, s.seed)
       val stream = StreamGen.dumbbell(edges, s.seed)
-      val r = feedTimed(GhdEngine.dumbbell(s.kGraph, s.seed).insert, stream, s.budgetSec)
+      val r = feed(GhdEngine.dumbbell(s.kGraph, s.seed).insert, stream, s.budgetSec)
       rows += Seq("dumbbell", "RSJoin", r.pretty)
       rows += Seq("dumbbell", "SJoin", "n/a (cyclic)")
     }
@@ -99,23 +99,12 @@ object Experiments {
     for ((name, mk) <- Seq[(String, () => ReservoirJoinEngine)](
       "RSJoin" -> (() => new ReservoirJoinEngine(w.query, s.kGraph, s.seed, trackFullJoin = false)),
       "SJoin" -> (() => new SJoinEngine(w.query, s.kGraph, s.seed, trackFullJoin = false)))) {
-      val engine = mk()
-      val nanos = ArrayBuffer.empty[Long]
-      val budget = (s.budgetSec * 1e9).toLong
-      val t0 = System.nanoTime()
-      var dnf = false
-      val it = w.stream.iterator
-      while (it.hasNext && !dnf) {
-        val (rel, t) = it.next()
-        val a = System.nanoTime()
-        engine.updateOnly(rel, t)
-        nanos += System.nanoTime() - a
-        if ((nanos.length & 511) == 0 && System.nanoTime() - t0 > budget) dnf = true
-      }
-      val sorted = nanos.toArray.sorted
+      val r = feed(mk().updateOnly, w.stream, s.budgetSec, 1 to w.stream.size)
+      val nanos = Array.tabulate(r.atMarks.length)(i => r.atMarks(i) - (if (i == 0) 0L else r.atMarks(i - 1)))
+      val sorted = nanos.sorted
       def us(x: Long) = f"${x / 1e3}%.1f"
       rows += Seq(name,
-        nanos.length.toString + (if (dnf) " (DNF)" else ""),
+        nanos.length.toString + (if (r.dnf) " (DNF)" else ""),
         us((sorted.map(BigInt(_)).sum / math.max(1, sorted.length)).toLong),
         us(percentile(sorted, 0.50)), us(percentile(sorted, 0.90)),
         us(percentile(sorted, 0.99)), us(percentile(sorted, 0.999)),
@@ -154,26 +143,8 @@ object Experiments {
     val rows = ArrayBuffer.empty[Seq[String]]
 
     def cumulative(mk: () => SamplingEngine): Seq[Option[Double]] = {
-      val engine = mk()
-      val budget = (s.budgetSec * 1e9).toLong
-      val t0 = System.nanoTime()
-      var acc = 0L // exclude join-size bookkeeping from engine timing
-      var i = 0
-      val out = ArrayBuffer.empty[Option[Double]]
-      for (cp <- checkpoints) {
-        var dnf = false
-        while (i < cp && !dnf) {
-          val (rel, t) = stream(i)
-          val a = System.nanoTime()
-          engine.insert(rel, t)
-          acc += System.nanoTime() - a
-          i += 1
-          if ((i & 511) == 0 && System.nanoTime() - t0 > budget) dnf = true
-        }
-        out += (if (dnf) None else Some(acc / 1e9))
-        if (dnf) { while (out.length < 10) out += None; return out.toSeq }
-      }
-      out.toSeq
+      val r = feed(mk().insert, stream, s.budgetSec, checkpoints)
+      checkpoints.indices.map(i => r.atMarks.lift(i).map(_ / 1e9))
     }
 
     val rs = cumulative(() => new ReservoirJoinEngine(w.query, k, s.seed, trackFullJoin = false))
@@ -194,9 +165,9 @@ object Experiments {
   def t4SampleSize(s: Scale, ks: Seq[Int]): String = {
     val w = graphWorkload("line3", s)
     val rows = for (k <- ks) yield {
-      val rsR = feedTimed(new ReservoirJoinEngine(w.query, k, s.seed, trackFullJoin = false).insert,
+      val rsR = feed(new ReservoirJoinEngine(w.query, k, s.seed, trackFullJoin = false).insert,
         w.stream, s.budgetSec)
-      val sjR = feedTimed(new SJoinEngine(w.query, k, s.seed, trackFullJoin = false).insert,
+      val sjR = feed(new SJoinEngine(w.query, k, s.seed, trackFullJoin = false).insert,
         w.stream, s.budgetSec)
       Seq(k.toString, rsR.pretty, sjR.pretty)
     }
@@ -219,8 +190,8 @@ object Experiments {
     def row(name: String, mk: () => SamplingEngine,
             updateOnly: () => (String, Array[Long]) => Unit): Unit = {
       val engine = mk()
-      val r = feedTimed(engine.insert, all, s.budgetSec * 3)
-      val r2 = feedTimed(updateOnly(), all, s.budgetSec * 3)
+      val r = feed(engine.insert, all, s.budgetSec * 3)
+      val r2 = feed(updateOnly(), all, s.budgetSec * 3)
       rows += Seq(name, engine.propagations.toString, engine.edgePropagations.toString,
         r.pretty, r2.pretty)
     }
@@ -242,9 +213,9 @@ object Experiments {
     val rows = for (sf <- sfs) yield {
       val w = StreamGen.qz(sf, s.seed)
       val all = w.preload ++ w.stream
-      val rs = feedTimed(new ReservoirJoinEngine(w.query, s.kRel, s.seed, trackFullJoin = false).insert,
+      val rs = feed(new ReservoirJoinEngine(w.query, s.kRel, s.seed, trackFullJoin = false).insert,
         all, s.budgetSec * 3)
-      val opt = feedTimed(
+      val opt = feed(
         FkEngine.rs(w.query, w.fks, s.kRel, s.seed, grouping = true, trackFullJoin = false).insert,
         all, s.budgetSec * 3)
       Seq(sf.toString, all.size.toString, rs.pretty, opt.pretty)
@@ -261,29 +232,20 @@ object Experiments {
     // line-3: RSJoin vs SJoin
     locally {
       val w = graphWorkload("line3", s)
-      val rs = new ReservoirJoinEngine(w.query, s.kGraph, s.seed, trackFullJoin = false)
-      val sj = new SJoinEngine(w.query, s.kGraph, s.seed, trackFullJoin = false)
-      val rows = ArrayBuffer.empty[Seq[String]]
-      val n = w.stream.size
-      var i = 0
-      var sjDnf = false
-      for (cp <- 1 to 10) {
-        val budget = (s.budgetSec * 1e9).toLong
-        val t0 = System.nanoTime()
-        while (i < n * cp / 10) {
-          val (rel, t) = w.stream(i)
-          rs.insert(rel, t)
-          if (!sjDnf) {
-            sj.insert(rel, t)
-            if (System.nanoTime() - t0 > budget) sjDnf = true
-          }
-          i += 1
-        }
-        rows += Seq(s"${cp * 10}%", (rs.approxBytes / 1024).toString,
-          if (sjDnf) "DNF" else (sj.approxBytes / 1024).toString)
+      val tenths = (1 to 10).map(w.stream.size * _ / 10)
+      // Index KiB at each tenth reached within the budget, engine by engine.
+      def kib(e: SamplingEngine): Seq[Option[Long]] = {
+        val at = ArrayBuffer.empty[Long]
+        feed(e.insert, w.stream, s.budgetSec, tenths, _ => at += e.approxBytes / 1024)
+        tenths.indices.map(at.lift)
+      }
+      val rs = kib(new ReservoirJoinEngine(w.query, s.kGraph, s.seed, trackFullJoin = false))
+      val sj = kib(new SJoinEngine(w.query, s.kGraph, s.seed, trackFullJoin = false))
+      val rows = tenths.indices.map { i =>
+        Seq(s"${(i + 1) * 10}%", rs(i).fold("DNF")(_.toString), sj(i).fold("DNF")(_.toString))
       }
       sb ++= "line-3 (index KiB):\n"
-      sb ++= renderTable(Seq("input", "RSJoin KiB", "SJoin KiB"), rows.toSeq)
+      sb ++= renderTable(Seq("input", "RSJoin KiB", "SJoin KiB"), rows)
     }
     // Q10: the _opt engines
     locally {
@@ -291,8 +253,8 @@ object Experiments {
       val all = w.preload ++ w.stream
       val rs = FkEngine.rs(w.query, w.fks, s.kRel, s.seed, grouping = true, trackFullJoin = false)
       val sj = FkEngine.sj(w.query, w.fks, s.kRel, s.seed, trackFullJoin = false)
-      val r1 = feedTimed(rs.insert, all, s.budgetSec)
-      val r2 = feedTimed(sj.insert, all, s.budgetSec)
+      val r1 = feed(rs.insert, all, s.budgetSec)
+      val r2 = feed(sj.insert, all, s.budgetSec)
       sb ++= "\n\nQ10 (final index KiB):\n"
       sb ++= renderTable(Seq("engine", "KiB", "status"), Seq(
         Seq("RSJoin_opt", (rs.approxBytes / 1024).toString, r1.pretty),

@@ -25,10 +25,4 @@ object Batch {
       if (theta(x)) Some(x) else None
     }
   }
-
-  val empty: Batch[Nothing] = new Batch[Nothing] {
-    val size = 0L
-    def retrieve(z: Long): Option[Nothing] =
-      throw new IndexOutOfBoundsException(s"retrieve($z) on empty batch")
-  }
 }

@@ -24,8 +24,6 @@ final class BatchReservoir[A](val k: Int, val rng: Rng) extends Serializable {
   /** Number of batch items offered so far (real + dummy) — diagnostics only. */
   var itemsOffered: Long = 0L
 
-  def filled: Boolean = sample.length == k
-
   /** BatchUpdate (Algorithm 5): absorb one batch. */
   def update(batch: Batch[A]): Unit = {
     val size = batch.size

@@ -86,6 +86,11 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
 
   private def rowOf(acc: Array[Long]): JoinRow = query.attributes.iterator.zip(acc.iterator).toMap
 
+  /** `joinsOf`'s scratch: the values bound so far, over the slots of
+    * `query.attributes`.
+    */
+  private val acc = new Array[Long](query.attributes.length)
+
   /** Pass to `emit` every join result that contains tuple `t` of relation
     * `root`, by backtracking over the tree rooted there: each relation, in
     * preorder, is matched through the semijoin list of its key, whose values
@@ -93,30 +98,31 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
     * place there.
     */
   private def joinsOf(root: Int, t: Tup, emit: Array[Long] => Unit): Unit = {
-    val order = visitOrder(root)
-    val keys = keySlots(root)
-    val index = keyIndex(root)
-    val acc = new Array[Long](query.attributes.length)
-    def put(rel: Int, t: Tup): Unit = {
-      val slots = slotsOf(rel)
-      var i = 0
-      while (i < slots.length) { acc(slots(i)) = t(i); i += 1 }
-    }
-    def expand(d: Int): Unit =
-      if (d == order.length) emit(acc)
-      else {
-        val c = order(d)
-        val ix = index(d)
-        val k = ix.dict.find(acc, keys(d))
-        val n = if (k < 0) 0 else ix.ids.length(k)
-        var i = 0
-        while (i < n) {
-          put(c, stores(c).tuples(ix.ids(k)(i)))
-          expand(d + 1)
-          i += 1
-        }
-      }
     put(root, t)
-    expand(0)
+    expand(root, 0, emit)
+  }
+
+  private def put(rel: Int, t: Tup): Unit = {
+    val slots = slotsOf(rel)
+    var i = 0
+    while (i < slots.length) { acc(slots(i)) = t(i); i += 1 }
+  }
+
+  /** Match the `d`-th relation of `root`'s preorder, and those after it. */
+  private def expand(root: Int, d: Int, emit: Array[Long] => Unit): Unit = {
+    val order = visitOrder(root)
+    if (d == order.length) emit(acc)
+    else {
+      val c = order(d)
+      val ix = keyIndex(root)(d)
+      val k = ix.dict.find(acc, keySlots(root)(d))
+      val n = if (k < 0) 0 else ix.ids.length(k)
+      var i = 0
+      while (i < n) {
+        put(c, stores(c).tuples(ix.ids(k)(i)))
+        expand(root, d + 1, emit)
+        i += 1
+      }
+    }
   }
 }

@@ -22,43 +22,21 @@ final class ReservoirStats extends Serializable {
   */
 object PredicateReservoir {
 
-  /** Algorithm 1 over an indexed stream with O(1) skip.
+  /** Algorithm 1 over an indexed stream with O(1) skip: one batch of
+    * Algorithm 5 on a fresh [[BatchReservoir]], whose counters are added to
+    * `stats`.
     *
     * Returns the reservoir (size `min(k, #real items)`), a uniform sample
     * without replacement of the items on which `theta` is true.
     */
   def run[A](items: IndexedSeq[A], k: Int, theta: A => Boolean, rng: Rng,
              stats: ReservoirStats = new ReservoirStats): ArrayBuffer[A] = {
-    require(k > 0, s"sample size must be positive, got $k")
-    val sample = new ArrayBuffer[A](k)
-    val n = items.length
-    var pos = 0
-    // Fill phase: while the reservoir is short we cannot skip anything.
-    while (sample.length < k && pos < n) {
-      val x = items(pos)
-      stats.nextCalls += 1
-      stats.thetaEvals += 1
-      if (theta(x)) sample += x
-      pos += 1
-    }
-    if (sample.length == k) {
-      var w = Geo.wFactor(k, rng)
-      var q = Geo.draw(w, rng)
-      var remain = (n - pos).toLong
-      while (remain > q) {
-        pos += (q + 1).toInt
-        remain = (n - pos).toLong
-        val x = items(pos - 1)
-        stats.stops += 1
-        stats.thetaEvals += 1
-        if (theta(x)) {
-          sample(rng.nextInt(k)) = x
-          w *= Geo.wFactor(k, rng)
-        }
-        q = Geo.draw(w, rng)
-      }
-    }
-    sample
+    val r = new BatchReservoir[A](k, rng)
+    r.update(Batch.fromSeq(items, theta))
+    stats.nextCalls += r.stats.nextCalls
+    stats.stops += r.stats.stops
+    stats.thetaEvals += r.stats.thetaEvals
+    r.sample
   }
 
   /** Classic O(N) reservoir over real items (Waterman's algorithm applied to

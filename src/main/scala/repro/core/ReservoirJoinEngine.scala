@@ -7,10 +7,9 @@ import Proj.JoinRow
   * Algorithm 6 indexes the join tree rooted at each relation (that tree
   * generates the delta batch when a tuple arrives there). The rooted trees
   * share their node states through one [[EdgeIndex]], which keeps a state
-  * per directed join-tree edge; `trees` holds one [[TreeIndex]] view per
-  * relation. Each insert updates the shared states in O(log N) amortized,
-  * then feeds the implicit `ΔJ` batch of the tree rooted at the tuple's
-  * relation into the predicate-enabled batched reservoir.
+  * per directed join-tree edge. Each insert updates the shared states in
+  * O(log N) amortized, then feeds the implicit `ΔJ` batch of the tree rooted
+  * at the tuple's relation into the predicate-enabled batched reservoir.
   *
   * The engine is serializable end-to-end so the Spark streaming operator can
   * keep it in the state store between micro-batches.
@@ -39,9 +38,8 @@ class ReservoirJoinEngine private[core] (
 
   val index = new EdgeIndex(query, unrootedEdges, stores, grouping, counters, trackFullJoin, policy)
 
-  val trees: Vector[TreeIndex] = query.relations.indices.map { r =>
-    new TreeIndex(JoinTree.rooted(query, unrootedEdges, r), index)
-  }.toVector
+  /** One [[TreeIndex]] per relation, for the benchmark's traced replay. */
+  val trees: Vector[TreeIndex] = Vector.tabulate(query.arity)(new TreeIndex(_, index))
 
   val rng = new Rng(seed)
   val reservoir = new BatchReservoir[JoinRow](k, rng)
@@ -69,10 +67,10 @@ class ReservoirJoinEngine private[core] (
   /** Current reservoir contents (uniform k-sample of `Q(R)` w/o replacement). */
   def sample: Seq[JoinRow] = reservoir.sample.toSeq
 
-  /** Size of tree 0's array over the full join: a constant-factor bound on
-    * `|Q(R)|`, or `|Q(R)|` itself under exact counts.
+  /** Size of relation 0's array over the full join: a constant-factor bound
+    * on `|Q(R)|`, or `|Q(R)|` itself under exact counts.
     */
-  def fullCount: Long = trees(0).fullCount
+  def fullCount: Long = index.fullCount(0)
 
   /** Structure-proportional memory estimate (Fig. 11). */
   def approxBytes: Long = stores.map(_.approxBytes).sum + index.approxBytes
@@ -80,26 +78,26 @@ class ReservoirJoinEngine private[core] (
 
 /** Dynamic sampling over the full join (operation (2) of Theorem 4.2):
   * draw single uniform samples from `Q(R)` at any point of the stream, in
-  * O(log N) expected time, via the root ∅-key structure of one tree.
+  * O(log N) expected time, via the ∅-key root state of relation `root`.
   */
-final class FullJoinSampler(engine: ReservoirJoinEngine, seed: Long, treeIdx: Int = 0)
+final class FullJoinSampler(engine: ReservoirJoinEngine, seed: Long, root: Int = 0)
     extends Serializable {
-  private val tree = engine.trees(treeIdx)
+  private val index = engine.index
   private val rng = new Rng(seed)
 
   /** `|J|` — a constant-factor upper bound on `|Q(R)|`. */
-  def joinUpperBound: Long = tree.fullCount
+  def joinUpperBound: Long = index.fullCount(root)
 
   /** One uniform sample from `Q(R)`, or None if the join is empty.
     * Expected O(1) rejection rounds thanks to the density guarantee.
     */
   def draw(maxTries: Int = 100000): Option[JoinRow] = {
-    val total = tree.fullCount
+    val total = index.fullCount(root)
     if (total == 0) return None
     var tries = 0
     while (tries < maxTries) {
       val z = rng.nextLong(total)
-      tree.retrieveFull(z) match {
+      index.retrieveFull(root, z) match {
         case some @ Some(_) => return some
         case None           => tries += 1
       }

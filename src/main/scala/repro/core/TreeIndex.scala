@@ -204,7 +204,7 @@ final class FenwickKeyState private[core] (slots: Slots) extends KeyState {
   def approxBytes: Long = Bytes.Object + Bytes.ints(members.length) + fen.approxBytes
 }
 
-/** How a [[TreeIndex]] counts. `Pow2` (RSJoin) multiplies a parent's degree
+/** How an [[EdgeIndex]] counts. `Pow2` (RSJoin) multiplies a parent's degree
   * by `cnt~ = ceilPow2(cnt)` of each child key and buckets members by their
   * power-of-two degree, so a count propagates only when `cnt~` doubles.
   * `Exact` (SJoin) multiplies by `cnt` itself and keeps members in a Fenwick
@@ -264,7 +264,6 @@ private[core] object CountPolicy {
   * its member tuple is the first tuple of that list.
   *
   * @param treeCount how many rooted trees hold this state
-  * @param owner     the lowest-indexed of those trees' roots
   */
 final class EdgeState private[core] (
     val rel: Int,
@@ -275,7 +274,6 @@ final class EdgeState private[core] (
     dicts: mutable.Map[Vector[String], KeyDict],
     grouping: Boolean,
     val treeCount: Int,
-    val owner: Int,
 ) extends Serializable {
   val isRoot: Boolean = parent < 0
   val baseSchema: RelSchema = store.schema
@@ -342,7 +340,7 @@ final class EdgeState private[core] (
   * depth-first. Each state thus sees the same updates, in the same order,
   * as each of its per-tree copies would have. An updated member's old degree
   * is the one its key state stores, so no caller rebuilds it from the
-  * children's counts. [[TreeIndex]] is one rooted tree's view of it.
+  * children's counts.
   *
   * It owns one [[KeyDict]] per join-attribute list, which its states
   * register with the stores: every key is encoded once, when its tuple is
@@ -391,12 +389,12 @@ final class EdgeIndex private[core] (
   private def edgeState(e: Int, p: Int): EdgeState = byEdge.get((e, p)) match {
     case Some(s) => s
     case None =>
-      val s = newState(e, p, side(p, e))
+      val s = newState(e, p, side(p, e).size)
       byEdge((e, p)) = s
       s
   }
 
-  private def newState(e: Int, p: Int, roots: Vector[Int]): EdgeState = {
+  private def newState(e: Int, p: Int, treeCount: Int): EdgeState = {
     val keyAttrs =
       if (p < 0) Vector.empty[String]
       else {
@@ -404,11 +402,11 @@ final class EdgeIndex private[core] (
         query.attributes.filter(a => eAttrs(a) && pAttrs(a))
       }
     val children = nbrs(e).filter(_ != p).map(edgeState(_, e)).toArray
-    new EdgeState(e, p, children, keyAttrs, stores(e), dicts, grouping, roots.size, roots.min)
+    new EdgeState(e, p, children, keyAttrs, stores(e), dicts, grouping, treeCount)
   }
 
   private val rootStates: Array[EdgeState] =
-    Array.tabulate(n)(r => if (trackRoot) newState(r, -1, Vector(r)) else null)
+    Array.tabulate(n)(r => if (trackRoot) newState(r, -1, 1) else null)
 
   /** Each relation's states: `r→p` for every neighbour `p`, then its root state. */
   private val statesOf: Array[Array[EdgeState]] =
@@ -431,11 +429,6 @@ final class EdgeIndex private[core] (
     Array.tabulate(n)(r => nbrs(r).map(edgeState(_, r)).toArray)
   private val rootChildIx: Array[Array[KeyIndex]] =
     Array.tabulate(n)(r => rootChildren(r).map(c => stores(r).ensureIndex(c.keyAttrs, dicts)))
-
-  /** State `e→p`, or `e`'s root state for `p = -1` (null without full-join
-    * tracking).
-    */
-  private[core] def state(e: Int, p: Int): EdgeState = if (p < 0) rootStates(e) else byEdge((e, p))
 
   /** The exact `cnt[e→p, t]` of a key state — 0 when the key is absent. */
   private def cntOf(ks: KeyState): Long = if (ks == null) 0L else ks.cnt
@@ -504,7 +497,7 @@ final class EdgeIndex private[core] (
     * its ē list, reweighed when `feq~` changes (`cnt` counts `feq~`, not
     * `feq`).
     */
-  private[core] def insert(s: EdgeState, tupId: Int): Unit =
+  private def insert(s: EdgeState, tupId: Int): Unit =
     if (!s.grouped) update(s, tupId)
     else {
       val g = s.groupIx.keyOf(tupId)
@@ -671,40 +664,19 @@ final class EdgeIndex private[core] (
   def approxBytes: Long = states.iterator.map(_.approxBytes).sum + dicts.valuesIterator.map(_.approxBytes).sum
 }
 
-/** The index of one rooted join tree (Section 4), as a view of the engine's
-  * [[EdgeIndex]]: its `nodes` are the shared states `e→parent(e)` of the
-  * tree's non-root relations, plus the root state with full-join tracking.
+/** Relation `root`'s entry point into an [[EdgeIndex]], kept only for the
+  * benchmark's traced replay of `insert`, which calls every relation's
+  * `onInsert` and then the inserted relation's `deltaBatch`. Engine code and
+  * tests use the [[EdgeIndex]] itself.
   */
-final class TreeIndex(val tree: RootedTree, index: EdgeIndex) extends Serializable {
+final class TreeIndex(root: Int, index: EdgeIndex) extends Serializable {
 
-  private val root = tree.root
-
-  /** Each relation's state in this tree; the root's is null without
-    * full-join tracking.
+  /** Apply the insertion of base tuple `tupId` into `rel` to all of rel's
+    * states if `rel` is this view's root, so that calling every view in
+    * turn applies it once.
     */
-  private val stateOf: Array[EdgeState] =
-    Array.tabulate(tree.query.arity)(e => index.state(e, tree.parent(e)))
+  def onInsert(rel: Int, tupId: Int): Unit = if (rel == root) index.onInsert(rel, tupId)
 
-  val nodes: Vector[EdgeState] = stateOf.iterator.filter(_ != null).toVector
-
-  private[core] def policy: CountPolicy = index.policy
-
-  /** React to the insertion of base tuple `tupId` into relation `rel`: apply
-    * it to rel's state in this tree if this is the lowest-indexed tree
-    * holding that state, so that calling every tree in turn updates each
-    * shared state once.
-    */
-  def onInsert(rel: Int, tupId: Int): Unit = {
-    val s = stateOf(rel)
-    if (s != null && s.owner == root) index.insert(s, tupId)
-  }
-
-  /** The delta batch of tuple `tupId` just inserted into this tree's root. */
+  /** The delta batch of tuple `tupId` just inserted into `root`. */
   def deltaBatch(tupId: Int): Batch[JoinRow] = index.deltaBatch(root, tupId)
-
-  def fullCount: Long = index.fullCount(root)
-
-  def retrieveFull(z: Long): Option[JoinRow] = index.retrieveFull(root, z)
-
-  def checkInvariants(): Unit = nodes.foreach(index.checkInvariants)
 }

@@ -9,7 +9,10 @@ import repro.core.{Bytes, Slots}
   * under *exact* per-tuple counts.
   */
 final class Fenwick extends Serializable {
-  private var tree = new Array[Long](16) // 1-based
+  /** Cells 1..n (1-based); starts just large enough for one slot, and
+    * `append` grows it.
+    */
+  private var tree = new Array[Long](2)
   private var n = 0
 
   def size: Int = n

@@ -17,9 +17,7 @@ final case class Workload(
     fks: Seq[FkSpec],
     preload: Vector[(String, Array[Long])],
     stream: Vector[(String, Array[Long])],
-) {
-  def totalTuples: Int = preload.size + stream.size
-}
+)
 
 /** Deterministic pure-Scala generators for every dataset in the evaluation.
   * Spark-side DataFrames over the same tuples come from

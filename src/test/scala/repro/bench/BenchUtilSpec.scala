@@ -22,25 +22,46 @@ class BenchUtilSpec extends SparkSpec {
     assert(BenchUtil.percentile(Array.empty[Long], 0.5) === 0L)
   }
 
-  test("feedTimed completes within budget and reports counts") {
+  test("feed completes within budget and reports counts") {
     val es = StreamGen.graphEdges(200, 60, 3)
     val w = StreamGen.lineK(3, es, 3)
     val e = new ReservoirJoinEngine(w.query, 10, 1)
-    val r = BenchUtil.feedTimed(e.insert, w.stream, budgetSec = 60)
+    val r = BenchUtil.feed(e.insert, w.stream, budgetSec = 60)
     assert(!r.dnf)
     assert(r.processed === w.stream.size)
     assert(r.total === w.stream.size)
+    assert(r.atMarks.isEmpty)
     assert(r.pretty.endsWith("s"))
   }
 
-  test("feedTimed reports DNF when the budget is blown") {
+  test("feed reports DNF when the budget is blown") {
     val es = StreamGen.graphEdges(3000, 800, 3)
     val w = StreamGen.lineK(3, es, 3)
     val e = new ReservoirJoinEngine(w.query, 10, 1)
-    val r = BenchUtil.feedTimed(e.insert, w.stream, budgetSec = 0.0)
+    val tenths = (1 to 10).map(w.stream.size * _ / 10)
+    val r = BenchUtil.feed(e.insert, w.stream, budgetSec = 0.0, tenths)
     assert(r.dnf)
     assert(r.processed < r.total)
+    assert(r.atMarks.length < tenths.size)
     assert(r.pretty.startsWith("DNF"))
+  }
+
+  test("feed records the step time at each mark and runs the callback outside it") {
+    val tuples = Vector.fill(5000)(("r", Array(1L)))
+    var steps = 0
+    val seen = scala.collection.mutable.ArrayBuffer.empty[Int]
+    val marks = Vector(1, 512, 512, 2000, 5000)
+    // Each callback sleeps 30 ms: 150 ms in all, against a 100 ms budget
+    // that only the steps count against.
+    val r = BenchUtil.feed((_, _) => steps += 1, tuples, budgetSec = 0.1, marks,
+      _ => { seen += steps; Thread.sleep(30) })
+    assert(!r.dnf)
+    assert(seen.toSeq === marks)
+    assert(r.atMarks.length === marks.size)
+    assert(r.atMarks.toSeq === r.atMarks.toSeq.sorted)
+    assert(r.atMarks(1) === r.atMarks(2))
+    assert(math.abs(r.seconds * 1e9 - r.atMarks.last) < 1.0)
+    assert(r.seconds < 0.1, s"callback time leaked into the step time: ${r.seconds} s")
   }
 
   test("line3JoinSize matches the exact SJoin count") {

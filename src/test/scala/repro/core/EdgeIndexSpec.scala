@@ -8,27 +8,26 @@ import repro.queries.Queries
 
 /** The rooted trees of an engine share one index state per directed
   * join-tree edge (plus a root state per relation with full-join tracking):
-  * how many states there are, which trees hold them, and that driving the
-  * per-tree views one call at a time updates each shared state once.
+  * how many states there are, how many trees hold each, and that driving the
+  * per-relation [[TreeIndex]] views one call at a time, as the benchmark's
+  * traced replay does, updates each shared state once.
   */
 class EdgeIndexSpec extends SparkSpec {
 
   private type Stream = Seq[(String, Array[Long])]
 
-  /** The distinct objects among `states`, by reference. */
-  private def distinct(states: Seq[EdgeState]): List[EdgeState] =
-    states.foldLeft(List.empty[EdgeState])((acc, s) => if (acc.exists(_ eq s)) acc else s :: acc)
-
-  private def viewStates(e: ReservoirJoinEngine): Seq[EdgeState] = e.trees.flatMap(_.nodes)
+  /** Σ treeCount over the non-root states: one state per non-root relation
+    * of every rooted tree.
+    */
+  private def perTree(e: ReservoirJoinEngine): Int = e.index.states.filterNot(_.isRoot).map(_.treeCount).sum
 
   test("line-5 and line-3 keep one state per directed edge: 20 → 8 and 6 → 4 untracked") {
-    for ((k, perTree, shared) <- Seq((5, 20, 8), (3, 6, 4))) {
+    for ((k, perTreeCount, shared) <- Seq((5, 20, 8), (3, 6, 4))) {
       val untracked = new ReservoirJoinEngine(Queries.lineK(k), 1, 7, trackFullJoin = false)
-      assert(viewStates(untracked).size === perTree)
-      assert(distinct(viewStates(untracked)).size === shared)
+      assert(perTree(untracked) === perTreeCount)
       assert(untracked.index.states.size === shared)
       val tracked = new ReservoirJoinEngine(Queries.lineK(k), 1, 7)
-      assert(distinct(viewStates(tracked)).size === shared + k)
+      assert(perTree(tracked) === perTreeCount)
       assert(tracked.index.states.size === shared + k)
       assert(tracked.index.states.count(_.isRoot) === k)
     }
@@ -36,32 +35,32 @@ class EdgeIndexSpec extends SparkSpec {
 
   test("star-4 and QZ under RSJoin_opt with grouping share their states") {
     val star = new ReservoirJoinEngine(Queries.starK(4), 1, 7, grouping = true)
-    assert(distinct(viewStates(star)).size === 6 + 4)
+    assert(star.index.states.size === 6 + 4)
     assert(star.index.states.exists(_.grouped), "star-4 centre states group by the shared key")
     for (track <- Seq(false, true)) {
       val opt = FkEngine.rs(Queries.qz, Queries.qzFks, 1, 7, grouping = true, trackFullJoin = track)
       val n = opt.inner.query.arity
       assert(n >= 2)
-      val expected = 2 * (n - 1) + (if (track) n else 0)
-      assert(distinct(viewStates(opt.inner)).size === expected)
-      assert(opt.inner.index.states.size === expected)
+      assert(opt.inner.index.states.size === 2 * (n - 1) + (if (track) n else 0))
+      assert(perTree(opt.inner) === n * (n - 1))
     }
   }
 
-  test("each state is held by treeCount views and owned by the lowest of their roots") {
+  test("each state is held by treeCount rooted trees") {
     val engines = Seq(
       new ReservoirJoinEngine(Queries.lineK(5), 1, 7),
       new ReservoirJoinEngine(Queries.lineK(5), 1, 7, trackFullJoin = false),
       new ReservoirJoinEngine(Queries.qz, 1, 7, grouping = true),
       new SJoinEngine(Queries.starK(4), 1, 7))
     for (e <- engines) {
+      val q = e.query
+      val trees = q.relations.indices.map(JoinTree.rooted(q, JoinTree.unrooted(q).get, _))
       for (s <- e.index.states) {
-        val roots = e.trees.indices.filter(i => e.trees(i).nodes.exists(_ eq s))
-        assert(roots.size === s.treeCount, s"state ${s.rel}→${s.parent} of ${e.query.name}")
-        assert(roots.min === s.owner)
+        val holding = trees.count(_.parent(s.rel) == s.parent)
+        assert(holding === s.treeCount, s"state ${s.rel}→${s.parent} of ${q.name}")
       }
-      val n = e.query.arity
-      assert(e.index.states.filterNot(_.isRoot).map(_.treeCount).sum === n * (n - 1))
+      val n = q.arity
+      assert(perTree(e) === n * (n - 1))
     }
   }
 
@@ -99,7 +98,7 @@ class EdgeIndexSpec extends SparkSpec {
       assert(viaViews.propagations === viaInsert.propagations)
       assert(viaViews.edgePropagations === viaInsert.edgePropagations)
       assert(viaViews.reservoir.itemsOffered === viaInsert.reservoir.itemsOffered)
-      viaViews.trees.foreach(_.checkInvariants())
+      viaViews.index.states.foreach(viaViews.index.checkInvariants)
     }
   }
 

@@ -49,7 +49,8 @@ object IndexHarness {
               checkInvariantsEvery: Int = 10,
               enumCap: Long = 50000L, fullCap: Long = 200000L): Result = {
     val query = engine.query
-    val exact = engine.trees(0).policy == CountPolicy.Exact
+    val index = engine.index
+    val exact = index.policy == CountPolicy.Exact
     val brute = new DeltaEnumerator(query)
     val m = query.arity
     val phi = math.pow(0.5, 2 * m - 2)
@@ -81,15 +82,14 @@ object IndexHarness {
         total = -1L // totals no longer comparable once a batch is skipped
       }
       if (step % checkInvariantsEvery == 0)
-        engine.trees.foreach(_.checkInvariants())
+        index.states.foreach(index.checkInvariants)
     }
-    engine.trees.foreach(_.checkInvariants())
+    index.states.foreach(index.checkInvariants)
     assert(enumerated > 0, "harness never enumerated a batch — workload too explosive")
 
-    // Full-join machinery: the ∅-key array over tree 0 enumerates Q(R).
-    val t0 = engine.trees(0)
-    if (t0.fullCount <= fullCap) {
-      val full = (0L until t0.fullCount).flatMap(z => t0.retrieveFull(z))
+    // Full-join machinery: relation 0's ∅-key array enumerates Q(R).
+    if (index.fullCount(0) <= fullCap) {
+      val full = (0L until index.fullCount(0)).flatMap(z => index.retrieveFull(0, z))
       if (total >= 0)
         assert(full.size.toLong == total, s"full enumeration ${full.size} != Σ deltas $total")
       assert(full.size == full.toSet.size, "duplicates in full enumeration")

@@ -123,7 +123,7 @@ class ReservoirJoinEngineSpec extends SparkSpec {
     val a = new ReservoirJoinEngine(q, k = 100000, seed = 7, trackFullJoin = false)
     IndexHarness.feed(a, stream)
     assert(a.sample.toSet === OracleCheck.bruteJoin(q, stream))
-    intercept[IllegalArgumentException](a.trees(0).fullCount)
+    intercept[IllegalArgumentException](a.index.fullCount(0))
   }
 
   test("trackFullJoin = false does strictly less propagation work") {

@@ -71,12 +71,12 @@ class TreeIndexSpec extends SparkSpec {
     val q = Queries.lineK(3)
     val e = new ReservoirJoinEngine(q, 1, 7, grouping = true)
     // No node has attrs outside ē on line joins, so none is grouped.
-    for (tree <- e.trees; node <- tree.nodes) assert(!node.grouped)
+    for (node <- e.index.states) assert(!node.grouped)
   }
 
   test("QZ with grouping actually groups the payload-bearing internal nodes") {
     val e = new ReservoirJoinEngine(Queries.qz, 1, 7, grouping = true)
-    val groupedSomewhere = e.trees.exists(_.nodes.exists(_.grouped))
+    val groupedSomewhere = e.index.states.exists(_.grouped)
     assert(groupedSomewhere, "expected at least one grouped node across QZ trees")
   }
 
@@ -88,7 +88,7 @@ class TreeIndexSpec extends SparkSpec {
       val b = e.updateOnly("g1", Array(i.toLong, i.toLong + 1))
       assert(b.size === 0L)
     }
-    assert(e.trees(0).fullCount === 0L)
+    assert(e.index.fullCount(0) === 0L)
   }
 
   test("two-table join batches are exact and 1-dense") {
@@ -114,14 +114,17 @@ class TreeIndexSpec extends SparkSpec {
       val e = new ReservoirJoinEngine(q, 1, 7)
       stream.foreach { case (rel, t) => e.updateOnly(rel, t) }
       val brute = new DeltaaCount(q, stream)
-      for (tree <- e.trees; node <- tree.nodes if !node.isRoot) {
+      val edges = JoinTree.unrooted(q).get
+      for (node <- e.index.states if !node.isRoot) {
+        // A tree in which node.parent is node.rel's parent: the one rooted there.
+        val tree = JoinTree.rooted(q, edges, node.parent)
         for (k <- node.byKey.indices; ks = node.byKey(k) if ks != null) {
           // The key id's values, in the order the rooted tree lists them.
           val values = node.keyIx.dict.key(k)
-          val key = tree.tree.key(node.rel).map(a => values(node.keyAttrs.indexOf(a)))
-          val exact = brute.subtreeCount(tree.tree, node.rel, key)
+          val key = tree.key(node.rel).map(a => values(node.keyAttrs.indexOf(a)))
+          val exact = brute.subtreeCount(tree, node.rel, key)
           assert(ks.cnt >= exact, s"cnt ${ks.cnt} < exact degree $exact")
-          val bound = math.pow(2.0, countSubtree(tree.tree, node.rel)).toLong
+          val bound = math.pow(2.0, countSubtree(tree, node.rel)).toLong
           assert(ks.cnt <= bound * math.max(exact, 1),
             s"cnt ${ks.cnt} > 2^|T_e| * degree ($bound * $exact)")
         }

@@ -86,7 +86,7 @@ class StreamingReservoirJoinSpec extends SparkSpec {
       b.foreach { case (r, t) => e1.insert(r, t) }
       b.foreach { case (r, t) => e2.insert(r, t) }
       assert(e1.sample === e2.sample)
-      e2.trees.foreach(_.checkInvariants())
+      e2.index.states.foreach(e2.index.checkInvariants)
     }
   }
 
