@@ -41,10 +41,23 @@ final case class JoinQuery(name: String, relations: Vector[RelSchema]) {
   @transient lazy val relIdx: Map[String, Int] = relations.map(_.name).zipWithIndex.toMap
   @transient lazy val attributes: Vector[String] = relations.flatMap(_.attrs).distinct
   def arity: Int = relations.size
+
+  /** The index of relation `rel`; an unknown name is an `IllegalArgumentException`. */
+  def indexOf(rel: String): Int =
+    relIdx.getOrElse(rel, throw new IllegalArgumentException(s"unknown relation $rel in $name"))
+
+  /** The attributes relations `a` and `b` share, in `attributes` order: the
+    * key of a join-tree edge between them, the same list from either side.
+    */
+  def shared(a: Int, b: Int): Vector[String] = {
+    val (as, bs) = (relations(a).attrs.toSet, relations(b).attrs.toSet)
+    attributes.filter(x => as(x) && bs(x))
+  }
 }
 
 /** A join tree rooted at `root`: parents, children, and the key attributes
-  * `key(e) = e ∩ p_e` of Section 4.3 (empty for the root).
+  * `key(e) = e ∩ p_e` of Section 4.3 (empty for the root), in query-attribute
+  * order (`JoinQuery.shared`).
   */
 final case class RootedTree(
     query: JoinQuery,
@@ -70,7 +83,7 @@ object JoinTree {
     if (n == 1) return Some(Vector.empty)
     val cand = for {
       i <- 0 until n; j <- i + 1 until n
-    } yield (q.relations(i).attrs.toSet.intersect(q.relations(j).attrs.toSet).size, i, j)
+    } yield (q.shared(i, j).size, i, j)
     val uf = Array.tabulate(n)(identity)
     def find(x: Int): Int = { var r = x; while (uf(r) != r) r = uf(r); uf(x) = r; r }
     val edges = Vector.newBuilder[(Int, Int)]
@@ -123,11 +136,7 @@ object JoinTree {
     val children = Array.fill(n)(Vector.empty[Int])
     for (v <- 0 until n if v != root) children(parent(v)) :+= v
     val key = Array.tabulate(n) { v =>
-      if (v == root) Vector.empty[String]
-      else {
-        val pAttrs = q.relations(parent(v)).attrs.toSet
-        q.relations(v).attrs.filter(pAttrs.contains)
-      }
+      if (v == root) Vector.empty[String] else q.shared(v, parent(v))
     }
     RootedTree(q, root, parent, children, key)
   }

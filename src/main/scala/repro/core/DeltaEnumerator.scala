@@ -3,7 +3,14 @@ package repro.core
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
-import Proj.{JoinRow, Tup}
+import Proj.JoinRow
+
+/** Receives rows one at a time, each tagged with the index of the relation
+  * it belongs to. The row array is the receiver's to keep.
+  */
+abstract class RowSink extends Serializable {
+  def emit(rel: Int, row: Array[Long]): Unit
+}
 
 /** Exact delta-join enumeration for an acyclic query: on each insert,
   * materialize `ΔQ(R, t) = Q(R ∪ {t}) ⋉ t` by backtracking over the join
@@ -22,9 +29,6 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
   private val unrootedEdges = JoinTree.unrooted(query).getOrElse(
     throw new IllegalArgumentException(s"DeltaEnumerator: ${query.name} is cyclic"))
 
-  private val rootedTrees: Vector[RootedTree] =
-    query.relations.indices.map(r => JoinTree.rooted(query, unrootedEdges, r)).toVector
-
   /** One dictionary per key attribute list, shared by the stores. */
   private val dicts = mutable.LinkedHashMap.empty[Vector[String], KeyDict]
 
@@ -33,96 +37,112 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
     stores(query.relIdx(rel)).insert(values)
   }
 
-  /** Each relation's attribute slots among `query.attributes`. */
-  private val slotsOf: Array[Array[Int]] =
-    query.relations.map(r => r.attrs.map(query.attributes.indexOf).toArray).toArray
-
   /** Per rooted tree: its non-root relations in depth-first preorder (the
-    * order in which `joinsOf` expands them), and the slots of each one's key.
+    * order in which `expand` matches them), each one's parent, and both
+    * relations' indexes on the key of the edge between them. The key is in
+    * query-attribute order (`JoinQuery.shared`), so both indexes share one
+    * dictionary, a parent tuple's key id names the child's semijoin list,
+    * and the trees rooted on either side of an edge share its two indexes.
     */
-  private val visitOrder: Array[Array[Int]] = rootedTrees.map { tree =>
+  private val visitOrder: Array[Array[Int]] = new Array(query.arity)
+  private val parentOf: Array[Array[Int]] = new Array(query.arity)
+  private val parentIx: Array[Array[KeyIndex]] = new Array(query.arity)
+  private val childIx: Array[Array[KeyIndex]] = new Array(query.arity)
+
+  for (r <- query.relations.indices) {
+    val tree = JoinTree.rooted(query, unrootedEdges, r)
     def pre(v: Int): Vector[Int] = v +: tree.children(v).flatMap(pre)
-    pre(tree.root).tail.toArray
-  }.toArray
-  private val keySlots: Array[Array[Array[Int]]] = rootedTrees.zip(visitOrder).map {
-    case (tree, order) => order.map(c => tree.key(c).map(query.attributes.indexOf).toArray)
-  }.toArray
+    val order = pre(r).tail.toArray
+    visitOrder(r) = order
+    parentOf(r) = order.map(tree.parent)
+    parentIx(r) = order.map(c => stores(tree.parent(c)).ensureIndex(tree.key(c), dicts))
+    childIx(r) = order.map(c => stores(c).ensureIndex(tree.key(c), dicts))
+  }
 
-  /** Per rooted tree, in the same order: the relation's index on its key,
-    * through which it is matched.
+  /** Each relation's share of a result row: the attributes it is the first
+    * relation to hold, as positions in its tuples and as slots among
+    * `query.attributes`.
     */
-  private val keyIndex: Array[Array[KeyIndex]] = rootedTrees.zip(visitOrder).map {
-    case (tree, order) => order.map(c => stores(c).ensureIndex(tree.key(c), dicts))
-  }.toArray
+  private val ownAttrs: Vector[Vector[String]] = {
+    val seen = mutable.Set.empty[String]
+    query.relations.map(_.attrs.filter(seen.add))
+  }
+  private val ownPos: Array[Array[Int]] = query.relations.zip(ownAttrs).map { case (s, own) => s.idxOf(own) }.toArray
+  private val ownSlots: Array[Array[Int]] = ownAttrs.map(_.map(query.attributes.indexOf).toArray).toArray
 
-  /** Insert `values` into `rel` and pass each result of the delta join to
-    * `emit`, as values over the slots of `query.attributes`. The array is
-    * overwritten once `emit` returns: `emit` must copy what it keeps.
+  /** `expand`'s scratch: the tuple id matched in each relation so far. */
+  private val ids = new Array[Int](query.arity)
+
+  /** Insert `values` into relation `rel` and pass each result of the delta
+    * join to `out`, tagged `tag`, as a new array of values over the slots of
+    * `query.attributes`.
     */
-  def insertAndEmit(rel: String, values: Array[Long])(emit: Array[Long] => Unit): Unit = {
-    val r = query.relIdx(rel)
-    stores(r).insert(values)
-    joinsOf(r, values, emit)
+  def insertAndEmit(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit = {
+    ids(rel) = stores(rel).insert(values)
+    expand(rel, 0, out, tag)
   }
 
   /** Insert `values` into `rel` and return the (materialized) delta join. */
   def insertAndDelta(rel: String, values: Array[Long]): ArrayBuffer[JoinRow] = {
-    val out = new ArrayBuffer[JoinRow]
-    insertAndEmit(rel, values)(out += rowOf(_))
-    out
+    val out = new Rows
+    insertAndEmit(query.relIdx(rel), values, out, 0)
+    out.rows
   }
 
   /** Current full join `Q(R)` via repeated delta accumulation is not stored;
     * recompute from scratch for small test instances.
     */
   def fullJoin(): ArrayBuffer[JoinRow] = {
-    val out = new ArrayBuffer[JoinRow]
-    for (t <- stores(0).tuples) joinsOf(0, t, out += rowOf(_))
-    out
+    val out = new Rows
+    for (id <- 0 until stores(0).size) { ids(0) = id; expand(0, 0, out, 0) }
+    out.rows
   }
 
   /** Bytes of the stores and the dictionaries (see [[Bytes]]). */
   def approxBytes: Long = stores.map(_.approxBytes).sum + dicts.valuesIterator.map(_.approxBytes).sum
 
-  private def rowOf(acc: Array[Long]): JoinRow = query.attributes.iterator.zip(acc.iterator).toMap
-
-  /** `joinsOf`'s scratch: the values bound so far, over the slots of
-    * `query.attributes`.
-    */
-  private val acc = new Array[Long](query.attributes.length)
-
-  /** Pass to `emit` every join result that contains tuple `t` of relation
-    * `root`, by backtracking over the tree rooted there: each relation, in
-    * preorder, is matched through the semijoin list of its key, whose values
-    * its parent has already written into `acc` and which is looked up in
-    * place there.
-    */
-  private def joinsOf(root: Int, t: Tup, emit: Array[Long] => Unit): Unit = {
-    put(root, t)
-    expand(root, 0, emit)
+  /** Collects rows as `Map`s, for the tests' oracle. */
+  private final class Rows extends RowSink {
+    val rows = new ArrayBuffer[JoinRow]
+    def emit(rel: Int, row: Array[Long]): Unit = rows += query.attributes.iterator.zip(row.iterator).toMap
   }
 
-  private def put(rel: Int, t: Tup): Unit = {
-    val slots = slotsOf(rel)
-    var i = 0
-    while (i < slots.length) { acc(slots(i)) = t(i); i += 1 }
-  }
-
-  /** Match the `d`-th relation of `root`'s preorder, and those after it. */
-  private def expand(root: Int, d: Int, emit: Array[Long] => Unit): Unit = {
+  /** Match the `d`-th relation of `root`'s preorder, and those after it,
+    * through the semijoin list its parent's tuple names by key id; past the
+    * last one, emit the row of the tuples in `ids`.
+    */
+  private def expand(root: Int, d: Int, out: RowSink, tag: Int): Unit = {
     val order = visitOrder(root)
-    if (d == order.length) emit(acc)
+    if (d == order.length) out.emit(tag, row())
     else {
       val c = order(d)
-      val ix = keyIndex(root)(d)
-      val k = ix.dict.find(acc, keySlots(root)(d))
-      val n = if (k < 0) 0 else ix.ids.length(k)
-      var i = 0
-      while (i < n) {
-        put(c, stores(c).tuples(ix.ids(k)(i)))
-        expand(root, d + 1, emit)
-        i += 1
+      val k = parentIx(root)(d).keyOf(ids(parentOf(root)(d)))
+      val lists = childIx(root)(d).ids
+      val n = lists.length(k)
+      if (n > 0) {
+        val list = lists(k)
+        var i = 0
+        while (i < n) {
+          ids(c) = list(i)
+          expand(root, d + 1, out, tag)
+          i += 1
+        }
       }
     }
+  }
+
+  /** The values of the tuples in `ids`, each attribute written once. */
+  private def row(): Array[Long] = {
+    val row = new Array[Long](query.attributes.length)
+    var r = 0
+    while (r < ids.length) {
+      val t = stores(r).tuples(ids(r))
+      val pos = ownPos(r)
+      val slots = ownSlots(r)
+      var i = 0
+      while (i < pos.length) { row(slots(i)) = t(pos(i)); i += 1 }
+      r += 1
+    }
+    row
   }
 }

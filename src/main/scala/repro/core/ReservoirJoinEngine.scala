@@ -48,18 +48,23 @@ class ReservoirJoinEngine private[core] (
   /** Index maintenance only — what Fig. 6 times with sampling disabled.
     * Returns the delta batch of the inserted tuple.
     */
-  def updateOnly(rel: String, values: Array[Long]): Batch[JoinRow] = {
-    val r = query.relIdx.getOrElse(rel,
-      throw new IllegalArgumentException(s"unknown relation $rel in ${query.name}"))
+  def updateOnly(rel: String, values: Array[Long]): Batch[JoinRow] =
+    insertAt(query.indexOf(rel), values, sample = false)
+
+  /** Full Algorithm 6 step: update the index, then sample the delta batch. */
+  def insert(rel: String, values: Array[Long]): Unit = insertAt(query.indexOf(rel), values, sample = true)
+
+  /** Insert `values` into relation `r` of `query`: update the index and
+    * return the delta batch, sampled into the reservoir first if `sample`.
+    */
+  def insertAt(r: Int, values: Array[Long], sample: Boolean): Batch[JoinRow] = {
     val id = stores(r).insert(values)
     index.onInsert(r, id)
     inserts += 1
-    index.deltaBatch(r, id)
+    val batch = index.deltaBatch(r, id)
+    if (sample) reservoir.update(batch)
+    batch
   }
-
-  /** Full Algorithm 6 step: update the index, then sample the delta batch. */
-  def insert(rel: String, values: Array[Long]): Unit =
-    reservoir.update(updateOnly(rel, values))
 
   def propagations: Long = counters.propagations
   def edgePropagations: Long = counters.edgePropagations

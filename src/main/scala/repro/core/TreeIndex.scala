@@ -395,12 +395,7 @@ final class EdgeIndex private[core] (
   }
 
   private def newState(e: Int, p: Int, treeCount: Int): EdgeState = {
-    val keyAttrs =
-      if (p < 0) Vector.empty[String]
-      else {
-        val (eAttrs, pAttrs) = (query.relations(e).attrs.toSet, query.relations(p).attrs.toSet)
-        query.attributes.filter(a => eAttrs(a) && pAttrs(a))
-      }
+    val keyAttrs = if (p < 0) Vector.empty[String] else query.shared(e, p)
     val children = nbrs(e).filter(_ != p).map(edgeState(_, e)).toArray
     new EdgeState(e, p, children, keyAttrs, stores(e), dicts, grouping, treeCount)
   }

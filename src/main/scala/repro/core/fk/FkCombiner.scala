@@ -17,11 +17,24 @@ final case class FkSpec(childRel: String, keyAttrs: Vector[String], parentRel: S
   * group join (computed by a [[DeltaEnumerator]] over the group subquery)
   * yields the combined tuples to feed into the inner engine. Late-arriving
   * dimension tuples correctly release all waiting fact tuples.
+  *
+  * It rejects, with an `IllegalArgumentException` naming the spec, an
+  * [[FkSpec]] that names an unknown relation or whose `keyAttrs` are not
+  * exactly the attributes its child and parent share.
   */
 final class FkCombiner(val baseQuery: JoinQuery, fks: Seq[FkSpec]) extends Serializable {
 
-  // Connected components of the FK graph.
   private val relIdx = baseQuery.relIdx
+
+  for (fk <- fks) {
+    def reject(why: String) = throw new IllegalArgumentException(s"$fk in ${baseQuery.name}: $why")
+    for (rel <- Seq(fk.childRel, fk.parentRel) if !relIdx.contains(rel)) reject(s"unknown relation $rel")
+    val shared = baseQuery.shared(relIdx(fk.childRel), relIdx(fk.parentRel))
+    if (fk.keyAttrs.sorted != shared.sorted)
+      reject(s"keyAttrs must be the attributes ${fk.childRel} and ${fk.parentRel} share, ${shared.mkString("(", ", ", ")")}")
+  }
+
+  // Connected components of the FK graph.
   private val uf = Array.tabulate(baseQuery.arity)(identity)
   private def find(x: Int): Int = { var r = x; while (uf(r) != r) r = uf(r); uf(x) = r; r }
   for (fk <- fks) {
@@ -42,12 +55,16 @@ final class FkCombiner(val baseQuery: JoinQuery, fks: Seq[FkSpec]) extends Seria
     }
   }
 
-  /** The rewritten (combined) query the inner engine runs on. */
+  /** The rewritten (combined) query the inner engine runs on: relation `gi`
+    * combines group `gi`.
+    */
   val combinedQuery: JoinQuery =
     JoinQuery(baseQuery.name + "_fk", groups.map(combinedSchema))
 
-  private val groupOf: Map[Int, Int] =
-    groups.zipWithIndex.flatMap { case (g, gi) => g.map(_ -> gi) }.toMap
+  /** Each base relation's group, and its index in the group's subquery. */
+  private val groupOf = new Array[Int](baseQuery.arity)
+  private val memberOf = new Array[Int](baseQuery.arity)
+  for ((g, gi) <- groups.zipWithIndex; (r, m) <- g.zipWithIndex) { groupOf(r) = gi; memberOf(r) = m }
 
   // One delta enumerator per multi-member group (over the group's subquery).
   private val enumerators: Vector[DeltaEnumerator] = groups.map { g =>
@@ -55,20 +72,23 @@ final class FkCombiner(val baseQuery: JoinQuery, fks: Seq[FkSpec]) extends Seria
     else new DeltaEnumerator(JoinQuery("grp", g.map(baseQuery.relations(_))))
   }
 
-  /** Translate one base-relation insert into 0+ combined-relation inserts. */
-  def translate(rel: String, values: Array[Long]): ArrayBuffer[(String, Array[Long])] = {
-    val r = relIdx.getOrElse(rel,
-      throw new IllegalArgumentException(s"unknown relation $rel"))
+  /** Translate one insert into base relation `r` into 0+ combined-relation
+    * inserts, each handed to `out` as (combined relation index, values). The
+    * combined schema's attributes are the group query's `attributes`, in the
+    * same order, so a group join row is a combined tuple as it stands.
+    */
+  def translate(r: Int, values: Array[Long], out: RowSink): Unit = {
     val gi = groupOf(r)
+    val e = enumerators(gi)
+    if (e == null) out.emit(gi, values) else e.insertAndEmit(memberOf(r), values, out, gi)
+  }
+
+  /** [[translate]] by relation name, collecting the combined inserts. */
+  def translate(rel: String, values: Array[Long]): ArrayBuffer[(String, Array[Long])] = {
     val out = new ArrayBuffer[(String, Array[Long])](1)
-    if (groups(gi).size == 1) {
-      out += ((rel, values))
-    } else {
-      // The combined schema's attributes are the group query's
-      // `attributes`, in the same order: each emitted row is copied whole.
-      val name = combinedQuery.relations(gi).name
-      enumerators(gi).insertAndEmit(rel, values)(row => out += ((name, row.clone())))
-    }
+    translate(baseQuery.indexOf(rel), values, new RowSink {
+      def emit(gi: Int, row: Array[Long]): Unit = out += ((combinedQuery.relations(gi).name, row))
+    })
     out
   }
 
@@ -82,20 +102,19 @@ final class FkEngine(
     val inner: ReservoirJoinEngine,
 ) extends SamplingEngine {
 
-  def insert(rel: String, values: Array[Long]): Unit = forward(rel, values, sample = true)
+  /** Hands each combined tuple to the inner engine, sampling its batch or not. */
+  private final class Forward(sample: Boolean) extends RowSink {
+    def emit(rel: Int, row: Array[Long]): Unit = inner.insertAt(rel, row, sample)
+  }
+  private val sampled = new Forward(sample = true)
+  private val indexed = new Forward(sample = false)
+
+  def insert(rel: String, values: Array[Long]): Unit =
+    combiner.translate(combiner.baseQuery.indexOf(rel), values, sampled)
 
   /** Index maintenance only (the update-only column of Fig. 9). */
-  def updateOnly(rel: String, values: Array[Long]): Unit = forward(rel, values, sample = false)
-
-  /** Translate one base insert and hand each combined tuple to the inner engine. */
-  private def forward(rel: String, values: Array[Long], sample: Boolean): Unit = {
-    val ts = combiner.translate(rel, values)
-    var i = 0
-    while (i < ts.length) {
-      if (sample) inner.insert(ts(i)._1, ts(i)._2) else inner.updateOnly(ts(i)._1, ts(i)._2)
-      i += 1
-    }
-  }
+  def updateOnly(rel: String, values: Array[Long]): Unit =
+    combiner.translate(combiner.baseQuery.indexOf(rel), values, indexed)
 
   def sample: Seq[JoinRow] = inner.sample
   def propagations: Long = inner.propagations

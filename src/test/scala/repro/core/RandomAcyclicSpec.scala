@@ -13,10 +13,12 @@ import repro.core.baseline.SJoinEngine
   * streams. After every insert, the plain, grouped and exact engines must
   * each enumerate `ΔJ` so that every real position is a row of `ΔQ` and
   * every row of `ΔQ` appears exactly once (`|ΔJ| = |ΔQ|` under exact
-  * counts, the density bound under `Pow2`), and keep their invariants. At
-  * the end of the stream the three engines' full joins must be the same
-  * multiset as the oracle's. The oracle is a nested-loop join over the raw
-  * tuples, independent of the stores and enumerators the engines use.
+  * counts, the density bound under `Pow2`), and keep their invariants, and
+  * a [[DeltaEnumerator]] must return each row of `ΔQ` exactly once. At the
+  * end of the stream the three engines' and the enumerator's full joins must
+  * be the same multiset as the oracle's. The oracle is a nested-loop join
+  * over the raw tuples, independent of the stores and enumerators the
+  * engines use.
   */
 class RandomAcyclicSpec extends SparkSpec {
   import RandomAcyclicSpec._
@@ -147,18 +149,25 @@ object RandomAcyclicSpec {
   private def counts(rows: Seq[JoinRow]): Map[JoinRow, Int] =
     rows.groupBy(identity).map { case (r, rs) => r -> rs.size }
 
-  /** Run the three engines side by side over `stream` against the oracle. */
+  /** Run the three engines and a [[DeltaEnumerator]] side by side over
+    * `stream` against the oracle.
+    */
   def check(q: JoinQuery, stream: Seq[(String, Array[Long])]): Coverage = {
     val engines = Vector(
       "plain" -> new ReservoirJoinEngine(q, 1, 7),
       "grouped" -> new ReservoirJoinEngine(q, 1, 7, grouping = true),
       "exact" -> new SJoinEngine(q, 1, 7))
+    val enumerator = new DeltaEnumerator(q)
     val phi = math.pow(0.5, 2 * q.arity - 2)
     val tuples = q.relations.map(_ => ArrayBuffer.empty[Array[Long]])
     for (((rel, t), step) <- stream.zipWithIndex) {
       val r = q.relIdx(rel)
       tuples(r) += t
       val expected = nestedLoop(q, tuples.toVector, Some((r, t))).toSet[JoinRow]
+      val delta = enumerator.insertAndDelta(rel, t.clone())
+      assert(delta.size == expected.size && delta.toSet == expected,
+        s"${q.relations.mkString(" ")}: DeltaEnumerator, step $step ($rel ${t.mkString(",")}): " +
+          s"ΔQ ${delta.take(4)} (${delta.size} rows) != ${expected.take(4)} (${expected.size} rows)")
       for ((name, e) <- engines) {
         val at = s"${q.relations.mkString(" ")}: $name engine, step $step ($rel ${t.mkString(",")})"
         val batch = e.updateOnly(rel, t.clone())
@@ -172,6 +181,7 @@ object RandomAcyclicSpec {
       }
     }
     val full = counts(nestedLoop(q, tuples.toVector, None))
+    assert(counts(enumerator.fullJoin().toSeq) == full, s"${q.relations.mkString(" ")}: DeltaEnumerator's full join differs")
     for ((name, e) <- engines) {
       val rows = (0L until e.fullCount).flatMap(z => e.index.retrieveFull(0, z))
       assert(counts(rows) == full, s"${q.relations.mkString(" ")}: $name engine's full join differs")

@@ -49,6 +49,72 @@ class FkCombinerSpec extends SparkSpec {
     assert(out.size === 4)
   }
 
+  test("rejects an FkSpec with an unknown relation or keys other than the shared attributes") {
+    for (bad <- Seq(
+      FkSpec("ss", Vector("cust1"), "cx"),
+      FkSpec("sx", Vector("cust1"), "c1"),
+      FkSpec("ss", Vector("item1"), "c1"),
+      FkSpec("ss", Vector("cust1", "item1"), "c1"),
+      FkSpec("ss", Vector.empty, "c1"))) {
+      val e = intercept[IllegalArgumentException](new FkCombiner(Queries.qx, Queries.qxFks :+ bad))
+      assert(e.getMessage.contains(bad.toString), e.getMessage)
+    }
+    // A key of two attributes may list them in either order.
+    val q = JoinQuery("two", Vector(
+      RelSchema("f", Vector("x", "y", "p")), RelSchema("d", Vector("y", "x", "q"))))
+    assert(new FkCombiner(q, Seq(FkSpec("f", Vector("y", "x"), "d"))).combinedQuery.arity === 1)
+  }
+
+  /** A QZ stream at a small scale, deduplicated per relation and shuffled
+    * whole: dimension tuples arrive both before and after their facts.
+    */
+  private def shuffledQz(rng: Rng): Vector[(String, Array[Long])] = {
+    val w = StreamGen.qz(sf = 0.03, seed = rng.nextLong(1000))
+    val distinct = (w.preload ++ w.stream).distinctBy { case (r, t) => (r, t.toSeq) }
+    StreamGen.shuffle(distinct, rng)
+  }
+
+  test("translate emits each row of each group join once, dimensions before and after facts (qz)") {
+    TestKit.forCases(4, seed0 = 41) { rng =>
+      val stream = shuffledQz(rng)
+      val c = new FkCombiner(Queries.qz, Queries.qzFks)
+      // Each combined tuple, with the base relation whose insert released it.
+      val emitted = stream.flatMap { case (r, t) => c.translate(r, t).map(r -> _) }
+      assert(emitted.map(_._2._1).toSet === c.combinedQuery.relations.map(_.name).toSet)
+      // Some fact tuples wait for a dimension, others find theirs in place.
+      assert(Set("ss", "c1", "d1", "i1").subsetOf(emitted.map(_._1).toSet))
+      for ((g, gi) <- c.groups.zipWithIndex if g.size > 1) {
+        val schema = c.combinedQuery.relations(gi)
+        val sub = JoinQuery("grp", g.map(Queries.qz.relations(_)))
+        val rows = emitted.collect { case (_, (schema.name, row)) => schema.attrs.zip(row).toMap }
+        val expected = OracleCheck.bruteJoin(sub, stream.filter(x => sub.relIdx.contains(x._1)))
+        assert(expected.nonEmpty, s"${schema.name}: empty group join")
+        assert(rows.size === rows.toSet.size, s"${schema.name}: a row emitted twice")
+        assert(rows.toSet === expected, s"${schema.name}")
+      }
+    }
+  }
+
+  test("translate then inner.insert leaves FkEngine.insert's sample, position by position (qz)") {
+    TestKit.forCases(3, seed0 = 43) { rng =>
+      val stream = shuffledQz(rng)
+      val engines = Seq(
+        () => FkEngine.rs(Queries.qz, Queries.qzFks, 40, 11, grouping = true, trackFullJoin = false),
+        () => FkEngine.rs(Queries.qz, Queries.qzFks, 40, 11),
+        () => FkEngine.sj(Queries.qz, Queries.qzFks, 40, 11))
+      for (mk <- engines) {
+        val direct = mk()
+        IndexHarness.feed(direct, stream)
+        val replayed = mk()
+        for ((r, t) <- stream; (name, row) <- replayed.combiner.translate(r, t))
+          replayed.inner.insert(name, row)
+        assert(direct.sample.size === 40)
+        assert(replayed.sample === direct.sample)
+        assert(replayed.propagations === direct.propagations)
+      }
+    }
+  }
+
   for ((name, q, fks, sf) <- Seq(
     ("qx", Queries.qx, Queries.qxFks, 0.05),
     ("qy", Queries.qy, Queries.qyFks, 0.05),
