@@ -30,9 +30,6 @@ final class KeyDict(val width: Int, private[core] val capacity: Int = KeyDict.Ma
   /** Number of keys, and the next id. */
   def size: Int = n
 
-  /** The id of the key at positions `idx` of `t`, or -1 if absent. */
-  def find(t: Array[Long], idx: Array[Int]): Int = table(probe(t, idx))
-
   /** The id of the key at positions `idx` of `t`, adding it if new. */
   def idOf(t: Array[Long], idx: Array[Int]): Int = {
     val h = probe(t, idx)

@@ -92,7 +92,7 @@ final class KeyIndex private[core] (val attrs: Vector[String], val dict: KeyDict
 }
 
 /** Unboxed `Int` lists in an array indexed by key id, each in insertion
-  * order: a store's semijoin lists, or a grouped state's groups by key.
+  * order: a store's semijoin lists.
   */
 final class IdLists extends Serializable {
   private var lists = new Array[Array[Int]](0)
@@ -108,9 +108,6 @@ final class IdLists extends Serializable {
 
   /** List `k` as a copy (for tests and checks). */
   def list(k: Int): Vector[Int] = Vector.tabulate(length(k))(lists(k)(_))
-
-  /** Every key id that has a list slot; the lists past it are empty. */
-  def keys: Range = lens.indices
 
   def add(k: Int, v: Int): Unit = {
     if (k >= lens.length) {

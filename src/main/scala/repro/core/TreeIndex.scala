@@ -261,7 +261,8 @@ private[core] object CountPolicy {
   * join attributes `ē = key ∪ ⋃ key(child)` operates on the grouped view
   * `π_ē R` (Section 4.4, Algorithms 10–11), kept as a view over the store: a
   * group is its ē key id, its multiplicity is the length of its ē list, and
-  * its member tuple is the first tuple of that list.
+  * its member tuple is the first tuple of that list. Propagation reaches a
+  * group through that tuple in the store's child lists ([[memberOf]]).
   *
   * @param treeCount how many rooted trees hold this state
   */
@@ -297,11 +298,6 @@ final class EdgeState private[core] (
   /** Grouped: the store's index on ē, whose key ids are the groups. */
   private[core] val groupIx: KeyIndex = if (grouped) store.ensureIndex(groupAttrs, dicts) else null
 
-  /** Grouped: for each child, the groups by the child's key id, in the order
-    * the groups were created.
-    */
-  private[core] val groupsByChild: Array[IdLists] = if (grouped) children.map(_ => new IdLists) else null
-
   /** The key state of each key id, or null. */
   private[core] var byKey = new Array[KeyState](0)
 
@@ -310,8 +306,9 @@ final class EdgeState private[core] (
 
   /** The states this one is a child of (`parent→x` for every `x ≠ rel`, and
     * `parent`'s root state): a change of this state's `cnt~` is a message to
-    * each of them. `targetMembers(i)` lists target i's members by this
-    * state's key id.
+    * each of them. `targetMembers(i)` is target i's store list by this
+    * state's key id, whose tuples name the members to update (see
+    * [[memberOf]]).
     */
   private[core] var targets: Array[EdgeState] = Array.empty
   private[core] var targetMembers: Array[IdLists] = Array.empty
@@ -319,12 +316,21 @@ final class EdgeState private[core] (
   /** The tuple a member stands for: itself, or a group's first tuple. */
   private[core] def tupleOf(member: Int): Int = if (grouped) groupIx.ids(member)(0) else member
 
+  /** The member that store tuple `t` names when a walk reaches it: `t`
+    * itself, or for a grouped state `t`'s group if `t` is the group's first
+    * tuple, and -1 for the group's later tuples. A child key is part of ē, so
+    * a group's tuples all sit in one list of each child, and the first tuples
+    * in such a list name its groups in creation order.
+    */
+  private[core] def memberOf(t: Int): Int =
+    if (!grouped) t
+    else { val g = groupIx.keyOf(t); if (groupIx.ids(g)(0) == t) g else -1 }
+
   private[core] def keyState(k: Int): KeyState = if (k < byKey.length) byKey(k) else null
 
   def approxBytes: Long =
     Bytes.Object + Bytes.refs(byKey.length) + slots.approxBytes +
-      byKey.iterator.filter(_ != null).map(_.approxBytes).sum +
-      (if (grouped) groupsByChild.iterator.map(_.approxBytes).sum else 0L)
+      byKey.iterator.filter(_ != null).map(_.approxBytes).sum
 }
 
 /** The dynamic index of Section 4 for all rooted join trees of an acyclic
@@ -414,7 +420,7 @@ final class EdgeIndex private[core] (
 
   for (s <- states; (c, i) <- s.children.zipWithIndex) {
     c.targets :+= s
-    c.targetMembers :+= (if (s.grouped) s.groupsByChild(i) else s.childIx(i).ids)
+    c.targetMembers :+= s.childIx(i).ids
   }
 
   /** The states `c→r` below relation `r` as a root, and r's indexes on their
@@ -466,9 +472,12 @@ final class EdgeIndex private[core] (
           val members = lists(k)
           var m = 0
           while (m < len) {
-            counters.propagations += p.treeCount
-            counters.edgePropagations += 1
-            update(p, members(m))
+            val member = p.memberOf(members(m))
+            if (member >= 0) {
+              counters.propagations += p.treeCount
+              counters.edgePropagations += 1
+              update(p, member)
+            }
             m += 1
           }
         }
@@ -488,20 +497,16 @@ final class EdgeIndex private[core] (
   }
 
   /** Apply the insertion of base tuple `tupId` of `s.rel` to `s`. A grouped
-    * state's member is the tuple's group: new when the tuple is the first of
-    * its ē list, reweighed when `feq~` changes (`cnt` counts `feq~`, not
-    * `feq`).
+    * state's member is the tuple's group, updated when `feq~` changes (`cnt`
+    * counts `feq~`, not `feq`): from 0 when the tuple is the first of its ē
+    * list.
     */
   private def insert(s: EdgeState, tupId: Int): Unit =
     if (!s.grouped) update(s, tupId)
     else {
       val g = s.groupIx.keyOf(tupId)
       val copies = s.groupIx.ids.length(g)
-      if (copies == 1) {
-        var i = 0
-        while (i < s.children.length) { s.groupsByChild(i).add(s.childIx(i).keyOf(tupId), g); i += 1 }
-        update(s, g)
-      } else if (policy.round(copies) != policy.round(copies - 1)) update(s, g)
+      if (policy.round(copies) != policy.round(copies - 1)) update(s, g)
     }
 
   // -------------------------------------------------------------------------
@@ -614,16 +619,18 @@ final class EdgeIndex private[core] (
 
   /** Test-facing consistency check of every documented invariant of `s`:
     * every member's stored degree (its bucket's `2^i`, or its Fenwick weight)
-    * equals its recomputed degree, members sit under their own key id, and
-    * `cnt` is the sum of the stored degrees. A grouped state lists each of
-    * the store's groups once under its key for each child, in the order the
-    * groups were created, and has no other member. Throws on violation.
+    * equals its recomputed degree, members sit under their own key id, a
+    * grouped state's members are groups of its store, and `cnt` is the sum
+    * of the stored degrees. Conversely, every member of a stored tuple (see
+    * [[EdgeState.memberOf]]) whose degree is positive is stored, and under
+    * `Exact` every member is. Throws on violation.
     */
   def checkInvariants(s: EdgeState): Unit = {
     val at = s"${query.name}/state=${s.rel}→${if (s.isRoot) "root" else s.parent}"
     for (k <- s.byKey.indices; ks = s.byKey(k) if ks != null) {
       var sum = 0L
       for ((m, w) <- ks.weights) {
+        require(!s.grouped || s.groupIx.ids.length(m) > 0, s"$at: member $m is no group")
         val d = degreeOf(s, m)
         require(d == w && ks.degree(m) == w, s"$at: member $m degree $d, stored $w")
         require(s.keyIx.keyOf(s.tupleOf(m)) == k, s"$at: member $m stored under wrong key")
@@ -631,24 +638,12 @@ final class EdgeIndex private[core] (
       }
       require(sum == ks.cnt, s"$at/key=${s.keyIx.dict.key(k)}: cnt=${ks.cnt} != stored sum $sum")
     }
-    if (s.grouped) {
-      // A group is created by its first tuple, so creation order is the
-      // order of first tuple ids.
-      val groups = (0 until s.store.size).filter(id => s.tupleOf(s.groupIx.keyOf(id)) == id)
-        .map(s.groupIx.keyOf)
-      val groupSet = groups.toSet
-      for (i <- s.children.indices) {
-        val lists = s.groupsByChild(i)
-        val listed = lists.keys.flatMap { k =>
-          val gs = lists.list(k)
-          for (g <- gs) require(s.childIx(i).keyOf(s.tupleOf(g)) == k, s"$at: group $g under wrong key")
-          require(gs.map(s.tupleOf) == gs.map(s.tupleOf).sorted, s"$at: groups out of creation order")
-          gs
-        }
-        require(listed.sorted == groups.sorted, s"$at: groups listed ${listed.size}, created ${groups.size}")
+    for (t <- 0 until s.store.size; m = s.memberOf(t) if m >= 0) {
+      val d = degreeOf(s, m)
+      if (d > 0 || !policy.skipsZero) {
+        val ks = s.keyState(s.keyIx.keyOf(t))
+        require(ks != null && s.slots(m) >= 0 && ks.degree(m) == d, s"$at: member $m (tuple $t) of degree $d not stored")
       }
-      for (ks <- s.byKey if ks != null; (g, _) <- ks.weights)
-        require(groupSet(g), s"$at: member $g is no group")
     }
   }
 

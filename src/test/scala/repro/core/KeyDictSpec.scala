@@ -10,9 +10,10 @@ import repro.{SparkSpec, TestKit}
   */
 class KeyDictSpec extends SparkSpec {
 
-  /** Add `keys` in order, checking `idOf`, `find` and `key` against a model
-    * that numbers new keys 0, 1, 2, …; each key is read from a wider tuple
-    * through shuffled positions.
+  /** Add `keys` in order, checking `idOf`, `size` and `key` against a model
+    * that numbers new keys 0, 1, 2, …, then look every key up again, which
+    * must add none; each key is read from a wider tuple through shuffled
+    * positions.
     */
   private def checkAgainstModel(d: KeyDict, keys: Seq[Seq[Long]], rng: Rng): Unit = {
     val model = mutable.LinkedHashMap.empty[Seq[Long], Int]
@@ -27,7 +28,6 @@ class KeyDictSpec extends SparkSpec {
     for (key <- keys) {
       val (t, idx) = place(key)
       val expected = model.getOrElse(key, -1)
-      assert(d.find(t, idx) === expected, s"find ${key.mkString(",")}")
       val id = d.idOf(t, idx)
       if (expected < 0) { assert(id === model.size, s"new key ${key.mkString(",")}"); model(key) = id }
       else assert(id === expected)
@@ -35,8 +35,9 @@ class KeyDictSpec extends SparkSpec {
     }
     for ((key, id) <- model) {
       val (t, idx) = place(key)
-      assert(d.find(t, idx) === id && d.key(id) === key)
+      assert(d.idOf(t, idx) === id && d.key(id) === key)
     }
+    assert(d.size === model.size, "a lookup of a known key added one")
   }
 
   private implicit class Shuffle(rng: Rng) {
@@ -92,7 +93,8 @@ class KeyDictSpec extends SparkSpec {
     for (v <- 0L until 3L) assert(d.idOf(Array(v * 10), one) === v.toInt)
     val e = intercept[IllegalStateException](d.idOf(Array(99L), one))
     assert(e.getMessage.contains("full at 3"), e.getMessage)
-    assert(d.size === 3 && d.find(Array(99L), one) === -1)
+    assert(d.size === 3)
+    intercept[IllegalStateException](d.idOf(Array(99L), one)) // still absent
     assert(d.idOf(Array(20L), one) === 2)
     val empty = new KeyDict(0, capacity = 1)
     assert(empty.idOf(Array(1L), Array.empty[Int]) === 0 && empty.idOf(Array(2L), Array.empty[Int]) === 0)

@@ -10,15 +10,16 @@ import repro.core.baseline.SJoinEngine
 /** Differential test on random α-acyclic queries: 2–7 relations grown as a
   * random join tree, with multi-attribute join keys (in a different order in
   * each relation), payload columns, the odd cross product, and skewed seeded
-  * streams. After every insert, the plain, grouped and exact engines must
-  * each enumerate `ΔJ` so that every real position is a row of `ΔQ` and
-  * every row of `ΔQ` appears exactly once (`|ΔJ| = |ΔQ|` under exact
-  * counts, the density bound under `Pow2`), and keep their invariants, and
-  * a [[DeltaEnumerator]] must return each row of `ΔQ` exactly once. At the
-  * end of the stream the three engines' and the enumerator's full joins must
-  * be the same multiset as the oracle's. The oracle is a nested-loop join
-  * over the raw tuples, independent of the stores and enumerators the
-  * engines use.
+  * streams. After every insert, the plain, grouped and exact engines, and
+  * the plain and grouped ones without full-join tracking (no root state, as
+  * in the benchmark), must each enumerate `ΔJ` so that every real position
+  * is a row of `ΔQ` and every row of `ΔQ` appears exactly once (`|ΔJ| =
+  * |ΔQ|` under exact counts, the density bound under `Pow2`), and keep their
+  * invariants, and a [[DeltaEnumerator]] must return each row of `ΔQ`
+  * exactly once. At the end of the stream the tracking engines' and the
+  * enumerator's full joins must be the same multiset as the oracle's. The
+  * oracle is a nested-loop join over the raw tuples, independent of the
+  * stores and enumerators the engines use.
   */
 class RandomAcyclicSpec extends SparkSpec {
   import RandomAcyclicSpec._
@@ -149,14 +150,17 @@ object RandomAcyclicSpec {
   private def counts(rows: Seq[JoinRow]): Map[JoinRow, Int] =
     rows.groupBy(identity).map { case (r, rs) => r -> rs.size }
 
-  /** Run the three engines and a [[DeltaEnumerator]] side by side over
+  /** Run the five engines and a [[DeltaEnumerator]] side by side over
     * `stream` against the oracle.
     */
   def check(q: JoinQuery, stream: Seq[(String, Array[Long])]): Coverage = {
-    val engines = Vector(
+    val tracked = Vector(
       "plain" -> new ReservoirJoinEngine(q, 1, 7),
       "grouped" -> new ReservoirJoinEngine(q, 1, 7, grouping = true),
       "exact" -> new SJoinEngine(q, 1, 7))
+    val engines = tracked ++ Vector(
+      "plain untracked" -> new ReservoirJoinEngine(q, 1, 7, trackFullJoin = false),
+      "grouped untracked" -> new ReservoirJoinEngine(q, 1, 7, grouping = true, trackFullJoin = false))
     val enumerator = new DeltaEnumerator(q)
     val phi = math.pow(0.5, 2 * q.arity - 2)
     val tuples = q.relations.map(_ => ArrayBuffer.empty[Array[Long]])
@@ -182,7 +186,7 @@ object RandomAcyclicSpec {
     }
     val full = counts(nestedLoop(q, tuples.toVector, None))
     assert(counts(enumerator.fullJoin().toSeq) == full, s"${q.relations.mkString(" ")}: DeltaEnumerator's full join differs")
-    for ((name, e) <- engines) {
+    for ((name, e) <- tracked) {
       val rows = (0L until e.fullCount).flatMap(z => e.index.retrieveFull(0, z))
       assert(counts(rows) == full, s"${q.relations.mkString(" ")}: $name engine's full join differs")
       if (name == "exact") assert(e.fullCount == full.size.toLong)

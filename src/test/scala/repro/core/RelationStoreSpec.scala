@@ -18,7 +18,7 @@ class RelationStoreSpec extends SparkSpec {
     val e = intercept[IllegalStateException](store.insert(Array(0L, 3L)))
     assert(e.getMessage.startsWith("R:"), e.getMessage)
     assert(store.size === 3)
-    assert(ix.ids.list(ix.dict.find(Array(0L), Array(0))) === Vector(0, 2))
+    assert(ix.ids.list(ix.dict.idOf(Array(0L), Array(0))) === Vector(0, 2) && ix.dict.size === 2)
   }
 
   test("key indexes: one key id per tuple, lists in insertion order, backfill, shared dictionaries") {
