@@ -37,6 +37,9 @@ final class KeyDict(val width: Int, private[core] val capacity: Int = KeyDict.Ma
     if (id >= 0) id else add(h, t, idx)
   }
 
+  /** The id of the key at positions `idx` of `t`, or -1 if absent; adds none. */
+  def find(t: Array[Long], idx: Array[Int]): Int = table(probe(t, idx))
+
   /** The values of key `id`, in attribute order. */
   def key(id: Int): IndexedSeq[Long] = {
     require(id >= 0 && id < n, s"no key id $id (size $n)")

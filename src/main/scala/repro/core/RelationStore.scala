@@ -106,9 +106,6 @@ final class IdLists extends Serializable {
     */
   def apply(k: Int): Array[Int] = lists(k)
 
-  /** List `k` as a copy (for tests and checks). */
-  def list(k: Int): Vector[Int] = Vector.tabulate(length(k))(lists(k)(_))
-
   def add(k: Int, v: Int): Unit = {
     if (k >= lens.length) {
       val n = Slots.grownLength(lens.length, k + 1)

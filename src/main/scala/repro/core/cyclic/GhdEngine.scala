@@ -1,7 +1,6 @@
 package repro.core.cyclic
 
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 
 import repro.core._
 import repro.core.Proj.JoinRow
@@ -16,8 +15,10 @@ trait GhdNode extends Serializable {
   def output: RelSchema
   /** Base relations this node consumes. */
   def inputs: Seq[String]
-  /** Absorb one base tuple; return the delta tuples of `Q_u` (output layout). */
-  def insert(rel: String, values: Array[Long]): ArrayBuffer[Array[Long]]
+  /** Absorb one tuple of `inputs(rel)`; pass each delta tuple of `Q_u`
+    * (output layout, once per multiplicity) to `out`, tagged `tag`.
+    */
+  def insert(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit
   def approxBytes: Long
 }
 
@@ -25,22 +26,20 @@ trait GhdNode extends Serializable {
 final class EdgeNode(val schema: RelSchema) extends GhdNode {
   def output: RelSchema = schema
   def inputs: Seq[String] = Seq(schema.name)
-  def insert(rel: String, values: Array[Long]): ArrayBuffer[Array[Long]] = {
-    val out = new ArrayBuffer[Array[Long]](1)
-    out += values
-    out
-  }
+  def insert(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit = out.emit(tag, values)
   def approxBytes: Long = 0L
 }
 
 /** Triangle node for the directed 3-cycle `Ra(x,y) ⋈ Rb(y,z) ⋈ Rc(z,x)`
   * (the paper's `G1.dst = G2.src AND G2.dst = G3.src AND G3.dst = G1.src`),
-  * with output `(x, y, z)`. Edge tuples arrive as `(src, dst)`.
-  *
-  * Deltas are computed AGM-style: intersect the two adjacency lists of the
-  * endpoints of the arriving edge, iterating the smaller one (worst-case
-  * O(N^{1/2}) per edge, O(N^{1.5}) total — the fractional-hypertree-width
-  * cost the paper cites for w = 1.5 bags).
+  * with output `(x, y, z)`. Edge tuples arrive as `(src, dst)`; repeats are
+  * kept, so the output is the bag join. Relation `i` is a [[RelationStore]]
+  * over output attributes `i` and `i+1` (mod 3), with key indexes on its
+  * source, its destination and the whole edge, over dictionaries shared per
+  * attribute list. Deltas are computed AGM-style: walk the shorter of the two
+  * semijoin lists at the arriving edge's endpoints and probe each closing
+  * edge's multiplicity (worst-case O(N^{1/2}) per edge, O(N^{1.5}) total —
+  * the fractional-hypertree-width cost the paper cites for w = 1.5 bags).
   */
 final class TriangleNode(
     val ra: String, val rb: String, val rc: String,
@@ -50,50 +49,51 @@ final class TriangleNode(
   val output: RelSchema = RelSchema(s"tri_${ra}_${rb}_$rc", Vector(x, y, z))
   def inputs: Seq[String] = Seq(ra, rb, rc)
 
-  // Adjacency in both directions per relation: src → dsts and dst → srcs.
-  private def newAdj = mutable.HashMap.empty[Long, mutable.LinkedHashSet[Long]]
-  private val aFwd = newAdj; private val aBwd = newAdj // Ra: x→y, y→x
-  private val bFwd = newAdj; private val bBwd = newAdj // Rb: y→z, z→y
-  private val cFwd = newAdj; private val cBwd = newAdj // Rc: z→x, x→z
+  private val dicts = mutable.Map.empty[Vector[String], KeyDict]
+  private val stores = Array.tabulate(3)(i =>
+    new RelationStore(RelSchema(inputs(i), Vector(output.attrs(i), output.attrs((i + 1) % 3)))))
+  private val src = stores.map(s => s.ensureIndex(s.schema.attrs.take(1), dicts))
+  private val dst = stores.map(s => s.ensureIndex(s.schema.attrs.drop(1), dicts))
+  private val edge = stores.map(s => s.ensureIndex(s.schema.attrs, dicts))
 
-  private def add(m: mutable.HashMap[Long, mutable.LinkedHashSet[Long]], k: Long, v: Long): Unit =
-    m.getOrElseUpdate(k, mutable.LinkedHashSet.empty[Long]) += v
+  /** The closing edge being probed, laid out as a tuple of its relation. */
+  private val probe = new Array[Long](2)
+  private val both = Array(0, 1)
 
-  private def get(m: mutable.HashMap[Long, mutable.LinkedHashSet[Long]], k: Long) =
-    m.getOrElse(k, TriangleNode.Empty)
-
-  /** Iterate the smaller set, probe the larger. */
-  private def intersect(s1: mutable.LinkedHashSet[Long], s2: mutable.LinkedHashSet[Long],
-                        f: Long => Unit): Unit = {
-    val (small, large) = if (s1.size <= s2.size) (s1, s2) else (s2, s1)
-    small.foreach(v => if (large.contains(v)) f(v))
-  }
-
-  def insert(rel: String, values: Array[Long]): ArrayBuffer[Array[Long]] = {
-    val out = new ArrayBuffer[Array[Long]]()
-    val (u, v) = (values(0), values(1))
-    rel match {
-      case `ra` => // (x=u, y=v): z ∈ bFwd(v) ∩ cBwd(u)
-        intersect(get(bFwd, v), get(cBwd, u), w => out += Array(u, v, w))
-        add(aFwd, u, v); add(aBwd, v, u)
-      case `rb` => // (y=u, z=v): x ∈ aBwd(u) ∩ cFwd(v)
-        intersect(get(aBwd, u), get(cFwd, v), w => out += Array(w, u, v))
-        add(bFwd, u, v); add(bBwd, v, u)
-      case `rc` => // (z=u, x=v): y ∈ aFwd(v) ∩ bBwd(u)
-        intersect(get(aFwd, v), get(bBwd, u), w => out += Array(v, w, u))
-        add(cFwd, u, v); add(cBwd, v, u)
-      case other => throw new IllegalArgumentException(s"$other not in triangle node")
+  /** Edge `(u, v)` of `rel` closes a triangle with each `(v, w)` of `b = rel+1`
+    * and `(w, u)` of `c = rel+2`, the row with `u, v, w` at `rel, b, c`. On a
+    * tie in list length the lower-indexed relation's list is walked.
+    */
+  def insert(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit = {
+    val id = stores(rel).insert(values)
+    val (b, c) = ((rel + 1) % 3, (rel + 2) % 3)
+    val (kb, kc) = (dst(rel).keyOf(id), src(rel).keyOf(id))
+    val (nb, nc) = (src(b).ids.length(kb), dst(c).ids.length(kc))
+    val walkB = nb < nc || (nb == nc && b < c)
+    val n = math.min(nb, nc)
+    if (n == 0) return
+    val at = if (walkB) 1 else 0 // w's position in the walked edges, 1 - at in the probed ones
+    val list = if (walkB) src(b).ids(kb) else dst(c).ids(kc)
+    val tuples = stores(if (walkB) b else c).tuples
+    val closing = edge(if (walkB) c else b)
+    probe(at) = values(1 - at) // u when walking b, v when walking c
+    var j = 0
+    while (j < n) {
+      val w = tuples(list(j))(at)
+      probe(1 - at) = w
+      val k = closing.dict.find(probe, both)
+      var m = if (k < 0) 0 else closing.ids.length(k)
+      while (m > 0) {
+        val row = new Array[Long](3)
+        row(rel) = values(0); row(b) = values(1); row(c) = w
+        out.emit(tag, row); m -= 1
+      }
+      j += 1
     }
-    out
   }
 
-  def approxBytes: Long =
-    Seq(aFwd, aBwd, bFwd, bBwd, cFwd, cBwd)
-      .map(m => m.size.toLong * 64L + m.valuesIterator.map(_.size.toLong * 48L).sum).sum
-}
-
-object TriangleNode {
-  private val Empty = mutable.LinkedHashSet.empty[Long]
+  /** Bytes of the stores and the dictionaries (see [[Bytes]]). */
+  def approxBytes: Long = stores.map(_.approxBytes).sum + dicts.valuesIterator.map(_.approxBytes).sum
 }
 
 /** Reservoir sampling over a cyclic join via a GHD (Section 5): each arriving
@@ -111,22 +111,21 @@ final class GhdEngine(
   val innerQuery: JoinQuery = JoinQuery(name + "_ghd", ghdNodes.map(_.output))
   val inner = new ReservoirJoinEngine(innerQuery, k, seed)
 
-  private val owner: Map[String, Int] =
-    ghdNodes.zipWithIndex.flatMap { case (nd, i) => nd.inputs.map(_ -> i) }.toMap
+  /** Each base relation's node, and its index among the node's inputs. */
+  private val owner: Map[String, (Int, Int)] =
+    ghdNodes.zipWithIndex.flatMap { case (nd, i) => nd.inputs.zipWithIndex.map { case (rel, r) => rel -> ((i, r)) } }.toMap
 
   /** Total sub-join delta tuples produced (size of the simulated stream). */
   var simulatedInserts: Long = 0L
 
+  /** Inserts each delta tuple into its node's relation of the inner query. */
+  private val forward = new RowSink {
+    def emit(ni: Int, row: Array[Long]): Unit = { inner.insertAt(ni, row, sample = true); simulatedInserts += 1 }
+  }
+
   def insert(rel: String, values: Array[Long]): Unit = {
-    val ni = owner.getOrElse(rel, throw new IllegalArgumentException(s"unknown relation $rel"))
-    val nd = ghdNodes(ni)
-    val deltas = nd.insert(rel, values)
-    var i = 0
-    while (i < deltas.length) {
-      inner.insert(nd.output.name, deltas(i))
-      simulatedInserts += 1
-      i += 1
-    }
+    val (ni, r) = owner.getOrElse(rel, throw new IllegalArgumentException(s"unknown relation $rel"))
+    ghdNodes(ni).insert(r, values, forward, ni)
   }
 
   def sample: Seq[JoinRow] = inner.sample

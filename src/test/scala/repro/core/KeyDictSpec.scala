@@ -5,15 +5,16 @@ import scala.collection.mutable
 import repro.{SparkSpec, TestKit}
 
 /** The key dictionary against a map model: dense ids in first-seen order
-  * at widths 0–3, keys read in place through positions, chains of colliding
-  * hashes, growth across rehashes, and a loud failure at the capacity.
+  * at widths 0–3, lookups that add nothing, keys read in place through
+  * positions, chains of colliding hashes, growth across rehashes, and a loud
+  * failure at the capacity.
   */
 class KeyDictSpec extends SparkSpec {
 
-  /** Add `keys` in order, checking `idOf`, `size` and `key` against a model
-    * that numbers new keys 0, 1, 2, …, then look every key up again, which
-    * must add none; each key is read from a wider tuple through shuffled
-    * positions.
+  /** Add `keys` in order, checking `find`, `idOf`, `size` and `key` against
+    * a model that numbers new keys 0, 1, 2, … (`find` gives -1 for a key not
+    * yet added, and adds none), then look every key up again, which must add
+    * none; each key is read from a wider tuple through shuffled positions.
     */
   private def checkAgainstModel(d: KeyDict, keys: Seq[Seq[Long]], rng: Rng): Unit = {
     val model = mutable.LinkedHashMap.empty[Seq[Long], Int]
@@ -28,6 +29,7 @@ class KeyDictSpec extends SparkSpec {
     for (key <- keys) {
       val (t, idx) = place(key)
       val expected = model.getOrElse(key, -1)
+      assert(d.find(t, idx) === expected && d.size === model.size, "find added a key")
       val id = d.idOf(t, idx)
       if (expected < 0) { assert(id === model.size, s"new key ${key.mkString(",")}"); model(key) = id }
       else assert(id === expected)
@@ -35,7 +37,7 @@ class KeyDictSpec extends SparkSpec {
     }
     for ((key, id) <- model) {
       val (t, idx) = place(key)
-      assert(d.idOf(t, idx) === id && d.key(id) === key)
+      assert(d.find(t, idx) === id && d.idOf(t, idx) === id && d.key(id) === key)
     }
     assert(d.size === model.size, "a lookup of a known key added one")
   }

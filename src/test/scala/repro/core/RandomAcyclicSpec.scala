@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
-import repro.{SparkSpec, TestKit}
+import repro.{Oracle, SparkSpec, SynthDataX, TestKit}
 import repro.core.Proj.JoinRow
 import repro.core.baseline.SJoinEngine
 
@@ -19,7 +19,9 @@ import repro.core.baseline.SJoinEngine
   * exactly once. At the end of the stream the tracking engines' and the
   * enumerator's full joins must be the same multiset as the oracle's. The
   * oracle is a nested-loop join over the raw tuples, independent of the
-  * stores and enumerators the engines use.
+  * stores and enumerators the engines use. On the first two queries of each
+  * arity, the plain engine's sample with `k ≥ |Q|` must also be the same
+  * multiset of rows as DuckDB's natural join of the stream.
   */
 class RandomAcyclicSpec extends SparkSpec {
   import RandomAcyclicSpec._
@@ -42,6 +44,22 @@ class RandomAcyclicSpec extends SparkSpec {
       assert(wideKeys > 0, "no join key of two or more attributes")
       if (n >= 3) assert(grouped > 0, "no grouped state")
     }
+  }
+
+  test("random acyclic queries: a sample with k >= |Q| is DuckDB's natural join") {
+    var rows = 0
+    for (n <- 2 to 7) TestKit.forCases(2, seed0 = 7000L + n) { rng =>
+      val q = randomQuery(n, rng)
+      val stream = randomStream(q, steps = 10 + 6 * n, rng)
+      val size = nestedLoop(q, q.relations.map(s => stream.filter(_._1 == s.name).map(_._2)), None).size
+      rows += size
+      val e = new ReservoirJoinEngine(q, math.max(1, size), 7)
+      stream.foreach { case (rel, t) => e.insert(rel, t.clone()) }
+      val schema = RelSchema("sample_" + q.name, q.attributes)
+      Oracle.assertEquivalent(SynthDataX.tableDf(spark, schema, e.sample.map(r => q.attributes.map(r).toArray)),
+        SynthDataX.naturalJoinSql(q), SynthDataX.workloadTables(spark, q, stream): _*)
+    }
+    assert(rows > 0, "no query joined")
   }
 }
 

@@ -11,6 +11,9 @@ import repro.SparkSpec
   */
 class RelationStoreSpec extends SparkSpec {
 
+  /** Semijoin list `k` of `ids`, read through `length` and `apply`. */
+  private def list(ids: IdLists, k: Int): Vector[Int] = Vector.tabulate(ids.length(k))(ids(k)(_))
+
   test("insert past the store's capacity throws an IllegalStateException naming the relation") {
     val store = new RelationStore(RelSchema("R", Vector("a", "b")), capacity = 3)
     val ix = store.ensureIndex(Vector("a"), mutable.HashMap.empty)
@@ -18,7 +21,7 @@ class RelationStoreSpec extends SparkSpec {
     val e = intercept[IllegalStateException](store.insert(Array(0L, 3L)))
     assert(e.getMessage.startsWith("R:"), e.getMessage)
     assert(store.size === 3)
-    assert(ix.ids.list(ix.dict.idOf(Array(0L), Array(0))) === Vector(0, 2) && ix.dict.size === 2)
+    assert(list(ix.ids, ix.dict.idOf(Array(0L), Array(0))) === Vector(0, 2) && ix.dict.size === 2)
   }
 
   test("key indexes: one key id per tuple, lists in insertion order, backfill, shared dictionaries") {
@@ -34,14 +37,14 @@ class RelationStoreSpec extends SparkSpec {
     // Key ids are dense, in first-seen order: (2,3) (5,3) (2,9) and (1,2) (1,5) (4,2).
     assert((0 until 4).map(bc.keyOf) === Vector(0, 1, 0, 2))
     assert((0 until 4).map(ab.keyOf) === Vector(0, 1, 2, 0))
-    assert(bc.ids.list(0) === Vector(0, 2) && ab.ids.list(0) === Vector(0, 3))
+    assert(list(bc.ids, 0) === Vector(0, 2) && list(ab.ids, 0) === Vector(0, 3))
     assert(bc.dict.key(2) === Vector(2L, 9L))
     // S projects (b, c) from other positions, onto the same dictionary.
     val sbc = s.ensureIndex(Vector("b", "c"), dicts)
     assert(sbc.dict eq bc.dict)
     s.insert(Array(9L, 0L, 2L)); s.insert(Array(3L, 0L, 7L))
     assert(sbc.keyOf(0) === 2 && sbc.keyOf(1) === 3 && bc.dict.size === 4)
-    assert(bc.ids.length(3) === 0 && sbc.ids.list(3) === Vector(1))
+    assert(bc.ids.length(3) === 0 && list(sbc.ids, 3) === Vector(1))
   }
 
   test("slot arrays at least double, stop at the tuple-id cap, and throw past it") {
