@@ -11,6 +11,16 @@ package repro.core
 trait Batch[A] {
   def size: Long
   def retrieve(z: Long): Option[A]
+
+  /** Stage the item at position `z` in `into` (see [[SampleStore]]); true
+    * iff the position is real. This goes through `retrieve`; a batch that
+    * can write a store's own representation directly overrides it, and must
+    * stage the same item.
+    */
+  def stage(z: Long, into: SampleStore[A]): Boolean = retrieve(z) match {
+    case Some(x) => into.stage(x); true
+    case None    => false
+  }
 }
 
 object Batch {

@@ -30,7 +30,7 @@ object PredicateReservoir {
     * without replacement of the items on which `theta` is true.
     */
   def run[A](items: IndexedSeq[A], k: Int, theta: A => Boolean, rng: Rng,
-             stats: ReservoirStats = new ReservoirStats): ArrayBuffer[A] = {
+             stats: ReservoirStats = new ReservoirStats): IndexedSeq[A] = {
     val r = new BatchReservoir[A](k, rng)
     r.update(Batch.fromSeq(items, theta))
     stats.nextCalls += r.stats.nextCalls

@@ -42,11 +42,12 @@ class ReservoirJoinEngine private[core] (
   val trees: Vector[TreeIndex] = Vector.tabulate(query.arity)(new TreeIndex(_, index))
 
   val rng = new Rng(seed)
-  val reservoir = new BatchReservoir[JoinRow](k, rng)
+  val reservoir = new BatchReservoir[JoinRow](k, rng, index.sampleStore(k))
   var inserts: Long = 0L
 
   /** Index maintenance only — what Fig. 6 times with sampling disabled.
-    * Returns the delta batch of the inserted tuple.
+    * Returns the delta batch of the inserted tuple, valid until the next
+    * insert into this engine (the index reuses one batch object).
     */
   def updateOnly(rel: String, values: Array[Long]): Batch[JoinRow] =
     insertAt(query.indexOf(rel), values, sample = false)
@@ -55,7 +56,8 @@ class ReservoirJoinEngine private[core] (
   def insert(rel: String, values: Array[Long]): Unit = insertAt(query.indexOf(rel), values, sample = true)
 
   /** Insert `values` into relation `r` of `query`: update the index and
-    * return the delta batch, sampled into the reservoir first if `sample`.
+    * return the delta batch (valid until the next insert), sampled into the
+    * reservoir first if `sample`.
     */
   def insertAt(r: Int, values: Array[Long], sample: Boolean): Batch[JoinRow] = {
     val id = stores(r).insert(values)
@@ -69,8 +71,10 @@ class ReservoirJoinEngine private[core] (
   def propagations: Long = counters.propagations
   def edgePropagations: Long = counters.edgePropagations
 
-  /** Current reservoir contents (uniform k-sample of `Q(R)` w/o replacement). */
-  def sample: Seq[JoinRow] = reservoir.sample.toSeq
+  /** Current reservoir contents (uniform k-sample of `Q(R)` w/o replacement),
+    * as rows built from the reservoir's tuple ids on each call.
+    */
+  def sample: Seq[JoinRow] = reservoir.sample
 
   /** Size of relation 0's array over the full join: a constant-factor bound
     * on `|Q(R)|`, or `|Q(R)|` itself under exact counts.

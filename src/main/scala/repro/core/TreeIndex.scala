@@ -374,7 +374,7 @@ final class EdgeIndex private[core] (
   private val offset = new Array[Long](1)
 
   /** Retrieve's scratch: the tuple id chosen for each relation. A real
-    * position's row gets a copy.
+    * position's row gets a copy; an [[IdMatrix]] over it stages it.
     */
   private val ids = new Array[Int](n)
   private val layout = new RowLayout(query, stores)
@@ -560,8 +560,12 @@ final class EdgeIndex private[core] (
   /** The implicit batch `ΔJ ⊇ ΔQ(R, t)` for tuple `tupId` just inserted into
     * relation `root`: `{t} × Π_child ΔJ(child)` over the states `c→root`,
     * with `|ΔJ|` available in O(1) and positional retrieve in O(log N).
-    * A real position yields an [[IdRow]] over the tuple ids retrieve chose;
-    * a dummy one allocates nothing but `None`.
+    * `retrieve` yields an [[IdRow]] over a copy of the tuple ids it chose;
+    * `stage` into this index's [[sampleStore]] writes them into the store's
+    * staged row and allocates nothing.
+    *
+    * The index reuses one batch object: it describes the last tuple passed
+    * here and is valid only until the next insert into the index.
     *
     * The child array lengths use the exact per-key `cnt` (positions in
     * `[cnt, cnt~)` are always dummy padding, so truncating them keeps the
@@ -569,37 +573,60 @@ final class EdgeIndex private[core] (
     * matches the paper's two-table and line-3 cases, where `|ΔJ|` is
     * `cnt(b)·cnt(c)` exactly. Under `Exact`, `ΔJ = ΔQ`.
     */
-  def deltaBatch(root: Int, tupId: Int): Batch[JoinRow] = {
-    val children = rootChildren(root)
-    val childIx = rootChildIx(root)
-    val m = children.length
-    val keyStates = new Array[KeyState](m)
-    val sizes = new Array[Long](m)
-    var total = 1L
-    var ci = 0
-    while (ci < m) {
-      keyStates(ci) = children(ci).keyState(childIx(ci).keyOf(tupId))
-      sizes(ci) = cntOf(keyStates(ci))
-      total = mulCap(total, sizes(ci))
-      ci += 1
-    }
-    val tot = total
-    new Batch[JoinRow] {
-      val size: Long = tot
-      def retrieve(z: Long): Option[JoinRow] = {
-        require(z >= 0 && z < size, s"retrieve($z) out of [0, $size)")
-        ids(root) = tupId
-        var rem = z
-        var ok = true
-        var i = m - 1
-        while (ok && i >= 0) {
-          val zi = rem % sizes(i)
-          rem = rem / sizes(i)
-          ok = retrieveKey(children(i), keyStates(i), zi)
-          i -= 1
-        }
-        if (ok) Some(new IdRow(layout, ids.clone())) else None
+  def deltaBatch(root: Int, tupId: Int): Batch[JoinRow] = delta.reset(root, tupId)
+
+  /** An empty store for a reservoir of `k` rows fed by this index's batches. */
+  def sampleStore(k: Int): SampleStore[JoinRow] = new IdMatrix(k, layout, ids)
+
+  @transient private lazy val delta = new DeltaBatch
+
+  private final class DeltaBatch extends Batch[JoinRow] {
+    private var root = 0
+    private var tupId = 0
+    private var children: Array[EdgeState] = null
+    private val keyStates = new Array[KeyState](rootChildren.iterator.map(_.length).max)
+    private val sizes = new Array[Long](keyStates.length)
+    private var total = 0L
+
+    def size: Long = total
+
+    def reset(root: Int, tupId: Int): DeltaBatch = {
+      val childIx = rootChildIx(root)
+      this.root = root
+      this.tupId = tupId
+      children = rootChildren(root)
+      total = 1L
+      var ci = 0
+      while (ci < children.length) {
+        keyStates(ci) = children(ci).keyState(childIx(ci).keyOf(tupId))
+        sizes(ci) = cntOf(keyStates(ci))
+        total = mulCap(total, sizes(ci))
+        ci += 1
       }
+      this
+    }
+
+    /** Retrieve position `z` into `ids`; false iff it is a dummy. */
+    private def fill(z: Long): Boolean = {
+      require(z >= 0 && z < total, s"retrieve($z) out of [0, $total)")
+      ids(root) = tupId
+      var rem = z
+      var ok = true
+      var i = children.length - 1
+      while (ok && i >= 0) {
+        val zi = rem % sizes(i)
+        rem = rem / sizes(i)
+        ok = retrieveKey(children(i), keyStates(i), zi)
+        i -= 1
+      }
+      ok
+    }
+
+    def retrieve(z: Long): Option[JoinRow] = if (fill(z)) Some(new IdRow(layout, ids.clone())) else None
+
+    override def stage(z: Long, into: SampleStore[JoinRow]): Boolean = into match {
+      case s: IdMatrix if s.scratch eq ids => fill(z)
+      case _                               => super.stage(z, into)
     }
   }
 

@@ -88,6 +88,53 @@ class IdRowSpec extends SparkSpec {
     assert(found, "no batch with two real rows")
   }
 
+  test("a sample taken earlier keeps its rows through later replacements") {
+    val e = new ReservoirJoinEngine(Queries.lineK(3), 30, 9)
+    val (first, rest) = line3.splitAt(line3.size / 2)
+    first.foreach { case (r, t) => e.insert(r, t) }
+    val before = e.sample
+    assert(before.size === 30)
+    val entries = before.map(plain)
+    val stops = e.reservoir.stats.stops
+    rest.foreach { case (r, t) => e.insert(r, t) }
+    assert(e.reservoir.stats.stops > stops && e.sample != before, "no replacement after the snapshot")
+    assert(before.map(plain) === entries)
+  }
+
+  // --- the reservoir's id matrix --------------------------------------------
+
+  private val line3Layout = {
+    val q = Queries.lineK(3)
+    new RowLayout(q, q.relations.map(new RelationStore(_)))
+  }
+
+  private def idsOf(r: JoinRow): Seq[Int] = r.asInstanceOf[IdRow].ids.toSeq
+
+  test("the id matrix refuses to grow past its capacity with an IllegalStateException naming k and the arity") {
+    val scratch = new Array[Int](3)
+    val m = new IdMatrix(10, line3Layout, scratch, capacity = 20)
+    for (i <- 0 until 6) { java.util.Arrays.fill(scratch, i); m.append() }
+    val e = intercept[IllegalStateException](m.append())
+    assert(e.getMessage.contains("k = 10") && e.getMessage.contains("arity 3"), e.getMessage)
+    assert(m.length === 6)
+    assert((0 until 6).map(i => idsOf(m(i))) === (0 until 6).map(i => Seq(i, i, i)))
+    intercept[IllegalArgumentException](m.stage(Map("v1" -> 1L)))
+  }
+
+  test("the id matrix grows by the rows it holds, whatever k, and rows read back after puts") {
+    val scratch = new Array[Int](3)
+    val m = new IdMatrix(Int.MaxValue, line3Layout, scratch) // k · 3 is past Int.MaxValue
+    for (i <- 0 until 5) { scratch(0) = i; scratch(1) = -i; scratch(2) = 7; m.append() }
+    scratch(0) = 40; scratch(1) = 41; scratch(2) = 42
+    m.put(4)
+    m.put(0)
+    assert((0 until 5).map(i => idsOf(m(i))) ===
+      Seq(Seq(40, 41, 42), Seq(1, -1, 7), Seq(2, -2, 7), Seq(3, -3, 7), Seq(40, 41, 42)))
+    val row = m(1)
+    m.put(1)
+    assert(idsOf(row) === Seq(1, -1, 7), "a row read before a put keeps its ids")
+  }
+
   test("FullJoinSampler draws are join results") {
     val q = Queries.lineK(3)
     val e = new ReservoirJoinEngine(q, 1, 1)
