@@ -271,27 +271,35 @@ object Experiments {
                      density: Double = 0.1, k: Int = 1000, seed: Long = 42): String = {
     val (base, items) = StringStream.generate(n, len, tau, density, seed)
     val theta = (x: String) => EditDistance.within(base, x, tau)
-    val rows = ArrayBuffer.empty[Seq[String]]
     val cuts = (1 to 10).map(i => n * i / 10)
-    def progress(algo: String): Seq[Double] = {
-      // run once per cut on the prefix: cumulative time profile
-      cuts.map { c =>
-        val rng = new repro.core.Rng(seed)
-        val st = new ReservoirStats
-        val (_, t) = time {
-          if (algo == "rswp") PredicateReservoir.run(items.take(c), k, theta, rng, st)
-          else PredicateReservoir.naive(items.take(c), k, theta, rng, st)
-        }
-        t
-      }
-    }
-    val rswp = progress("rswp")
-    val rs = progress("rs")
-    for (i <- cuts.indices)
-      rows += Seq(s"${(i + 1) * 10}%", cuts(i).toString,
-        f"${rswp(i)}%.3f", f"${rs(i)}%.3f")
-    renderTable(Seq("input", "items", "RSWP s", "RS s"), rows.toSeq)
+    // Each algorithm runs once over the stream; the clock is read at each tenth.
+    // RSWP takes the tenths as ten batches of one reservoir, which carries its
+    // pending skip across them and so draws the sample of one batch.
+    val tenths = (0 +: cuts).zip(cuts).map { case (a, b) => Batch.fromSeq(items.slice(a, b), theta) }
+    val rswp = new BatchReservoir[String](k, new Rng(seed))
+    val t0 = System.nanoTime()
+    val rswpAt = tenths.map { b => rswp.update(b); System.nanoTime() - t0 }
+    val rsAt = new Array[Long](cuts.length)
+    val t1 = System.nanoTime()
+    PredicateReservoir.naive(clocked(items, cuts, rsAt), k, theta, new Rng(seed))
+    val rows = cuts.indices.map(i => Seq(s"${(i + 1) * 10}%", cuts(i).toString,
+      f"${rswpAt(i) / 1e9}%.3f", f"${(rsAt(i) - t1) / 1e9}%.3f"))
+    renderTable(Seq("input", "items", "RSWP s", "RS s"), rows)
   }
+
+  /** `items` in order, writing `System.nanoTime` into `at(j)` once the
+    * first `cuts(j)` items have been consumed.
+    */
+  private def clocked[A](items: IndexedSeq[A], cuts: IndexedSeq[Int], at: Array[Long]): Iterator[A] =
+    new Iterator[A] {
+      private var i = 0
+      private var m = 0
+      def hasNext: Boolean = {
+        while (m < cuts.length && cuts(m) == i) { at(m) = System.nanoTime(); m += 1 }
+        i < items.length
+      }
+      def next(): A = { val x = items(i); i += 1; x }
+    }
 
   def t9RswpDensity(n: Int = 50000, len: Int = 256, tau: Int = 16,
                     k: Int = 500, seed: Long = 42): String = {

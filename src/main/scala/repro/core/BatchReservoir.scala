@@ -74,7 +74,6 @@ final class BatchReservoir[A](val k: Int, val rng: Rng, store: SampleStore[A]) e
     // Fill phase: examine items one by one while the reservoir is short.
     while (store.length < k && pos < size) {
       stats.nextCalls += 1
-      stats.thetaEvals += 1
       if (batch.stage(pos, store)) store.append()
       pos += 1
     }
@@ -87,7 +86,6 @@ final class BatchReservoir[A](val k: Int, val rng: Rng, store: SampleStore[A]) e
     while (size - pos > q) {
       pos += q + 1
       stats.stops += 1
-      stats.thetaEvals += 1
       if (batch.stage(pos - 1, store)) {
         store.put(rng.nextInt(k))
         w *= Geo.wFactor(k, rng)

@@ -5,24 +5,21 @@ import scala.collection.mutable.ArrayBuffer
 
 import Proj.JoinRow
 
-/** Receives rows one at a time, each tagged with the index of the relation
-  * it belongs to. The row array is the receiver's to keep.
-  */
-abstract class RowSink extends Serializable {
-  def emit(rel: Int, row: Array[Long]): Unit
-}
-
 /** Exact delta-join enumeration for an acyclic query: on each insert,
   * materialize `ΔQ(R, t) = Q(R ∪ {t}) ⋉ t` by backtracking over the join
   * tree rooted at the inserted tuple's relation, using semijoin lists over
   * its own key dictionaries.
   *
   * This is deliberately simple and exact — it serves as (a) the brute-force
-  * oracle the index tests compare against, and (b) the group joiner inside
-  * the foreign-key combination optimization, where delta sizes are small by
-  * construction (parent-direction lookups are unique under key constraints).
+  * oracle the index tests compare against, and (b) the bag of a foreign-key
+  * group in the foreign-key combination optimization, where delta sizes are
+  * small by construction (parent-direction lookups are unique under key
+  * constraints). As a bag, its output is `query.attributes`.
   */
-final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
+final class DeltaEnumerator(val query: JoinQuery) extends GhdNode {
+
+  val output: RelSchema = RelSchema(query.name, query.attributes)
+  def inputs: Seq[String] = query.relations.map(_.name)
 
   val stores: Vector[RelationStore] = query.relations.map(new RelationStore(_))
 
@@ -77,7 +74,7 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
     * join to `out`, tagged `tag`, as a new array of values over the slots of
     * `query.attributes`.
     */
-  def insertAndEmit(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit = {
+  def insert(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit = {
     ids(rel) = stores(rel).insert(values)
     expand(rel, 0, out, tag)
   }
@@ -85,7 +82,7 @@ final class DeltaEnumerator(val query: JoinQuery) extends Serializable {
   /** Insert `values` into `rel` and return the (materialized) delta join. */
   def insertAndDelta(rel: String, values: Array[Long]): ArrayBuffer[JoinRow] = {
     val out = new Rows
-    insertAndEmit(query.relIdx(rel), values, out, 0)
+    insert(query.relIdx(rel), values, out, 0)
     out.rows
   }
 

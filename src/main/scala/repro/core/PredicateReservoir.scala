@@ -9,7 +9,6 @@ import scala.collection.mutable.ArrayBuffer
 final class ReservoirStats extends Serializable {
   var nextCalls: Long = 0 // items examined one-by-one during fill
   var stops: Long = 0 // skip(·) landings after the reservoir filled
-  var thetaEvals: Long = 0 // predicate evaluations
   def touched: Long = nextCalls + stops
 }
 
@@ -35,7 +34,6 @@ object PredicateReservoir {
     r.update(Batch.fromSeq(items, theta))
     stats.nextCalls += r.stats.nextCalls
     stats.stops += r.stats.stops
-    stats.thetaEvals += r.stats.thetaEvals
     r.sample
   }
 
@@ -50,7 +48,6 @@ object PredicateReservoir {
     var r = 0L // real items seen
     items.iterator.foreach { x =>
       stats.nextCalls += 1
-      stats.thetaEvals += 1
       if (theta(x)) {
         r += 1
         if (sample.length < k) sample += x

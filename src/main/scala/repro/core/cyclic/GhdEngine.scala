@@ -5,31 +5,6 @@ import scala.collection.mutable
 import repro.core._
 import repro.core.Proj.JoinRow
 
-/** A GHD node materializer: owns some base relations and incrementally
-  * produces the delta results of its node subquery `Q_u` on every insert
-  * (Section 5). The deltas are streamed as inserts of the node's output
-  * relation into the inner acyclic engine.
-  */
-trait GhdNode extends Serializable {
-  /** Output relation of this node in the inner (acyclic) query. */
-  def output: RelSchema
-  /** Base relations this node consumes. */
-  def inputs: Seq[String]
-  /** Absorb one tuple of `inputs(rel)`; pass each delta tuple of `Q_u`
-    * (output layout, once per multiplicity) to `out`, tagged `tag`.
-    */
-  def insert(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit
-  def approxBytes: Long
-}
-
-/** Identity node: a base relation covered by its own GHD bag. */
-final class EdgeNode(val schema: RelSchema) extends GhdNode {
-  def output: RelSchema = schema
-  def inputs: Seq[String] = Seq(schema.name)
-  def insert(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit = out.emit(tag, values)
-  def approxBytes: Long = 0L
-}
-
 /** Triangle node for the directed 3-cycle `Ra(x,y) ⋈ Rb(y,z) ⋈ Rc(z,x)`
   * (the paper's `G1.dst = G2.src AND G2.dst = G3.src AND G3.dst = G1.src`),
   * with output `(x, y, z)`. Edge tuples arrive as `(src, dst)`; repeats are
@@ -96,45 +71,39 @@ final class TriangleNode(
   def approxBytes: Long = stores.map(_.approxBytes).sum + dicts.valuesIterator.map(_.approxBytes).sum
 }
 
-/** Reservoir sampling over a cyclic join via a GHD (Section 5): each arriving
-  * base tuple is routed to its owning node; the node's sub-join deltas are
-  * inserted, one by one, into an inner acyclic RSJoin engine over the
-  * decomposition tree (lines 5–7 of Algorithm 6 per delta tuple).
+/** Reservoir sampling over a decomposition (Section 5, and Section 4.4's
+  * FK combination): each arriving base tuple is routed to its owning bag;
+  * the bag's sub-join deltas are inserted, one by one, into an inner acyclic
+  * engine over the bag query (lines 5–7 of Algorithm 6 per delta tuple).
   */
-final class GhdEngine(
-    val name: String,
-    val ghdNodes: Vector[GhdNode],
-    val k: Int,
-    seed: Long,
-) extends SamplingEngine {
+class GhdEngine(decomposition: Decomposition, val inner: ReservoirJoinEngine) extends SamplingEngine {
 
-  val innerQuery: JoinQuery = JoinQuery(name + "_ghd", ghdNodes.map(_.output))
-  val inner = new ReservoirJoinEngine(innerQuery, k, seed)
-
-  /** Each base relation's node, and its index among the node's inputs. */
-  private val owner: Map[String, (Int, Int)] =
-    ghdNodes.zipWithIndex.flatMap { case (nd, i) => nd.inputs.zipWithIndex.map { case (rel, r) => rel -> ((i, r)) } }.toMap
-
-  /** Total sub-join delta tuples produced (size of the simulated stream). */
+  /** Total bag delta tuples inserted into `inner` (size of the simulated stream). */
   var simulatedInserts: Long = 0L
 
-  /** Inserts each delta tuple into its node's relation of the inner query. */
-  private val forward = new RowSink {
-    def emit(ni: Int, row: Array[Long]): Unit = { inner.insertAt(ni, row, sample = true); simulatedInserts += 1 }
+  /** Hands each bag tuple to the inner engine, sampling its batch or not. */
+  private final class Forward(sample: Boolean) extends RowSink {
+    def emit(node: Int, row: Array[Long]): Unit = { inner.insertAt(node, row, sample); simulatedInserts += 1 }
   }
+  private val sampled = new Forward(sample = true)
+  private val indexed = new Forward(sample = false)
 
-  def insert(rel: String, values: Array[Long]): Unit = {
-    val (ni, r) = owner.getOrElse(rel, throw new IllegalArgumentException(s"unknown relation $rel"))
-    ghdNodes(ni).insert(r, values, forward, ni)
-  }
+  def insert(rel: String, values: Array[Long]): Unit = decomposition.translate(rel, values, sampled)
+
+  /** Index maintenance only (the update-only column of Fig. 9). */
+  def updateOnly(rel: String, values: Array[Long]): Unit = decomposition.translate(rel, values, indexed)
 
   def sample: Seq[JoinRow] = inner.sample
   def propagations: Long = inner.propagations
   def edgePropagations: Long = inner.edgePropagations
-  def approxBytes: Long = inner.approxBytes + ghdNodes.map(_.approxBytes).sum
+  def approxBytes: Long = inner.approxBytes + decomposition.approxBytes
 }
 
 object GhdEngine {
+
+  /** RSJoin over the bag query of `d`, without the full-join root states. */
+  private def rs(d: Decomposition, k: Int, seed: Long): GhdEngine =
+    new GhdEngine(d, new ReservoirJoinEngine(d.query, k, seed, trackFullJoin = false))
 
   /** The paper's dumbbell query: two directed triangles bridged by an edge
     * `G7(G1.src, G4.src)`. GHD bags: {x1,x2,x3} (triangle 1), {x1,x4}
@@ -144,12 +113,12 @@ object GhdEngine {
     val t1 = new TriangleNode("g1", "g2", "g3", "x1", "x2", "x3")
     val t2 = new TriangleNode("g4", "g5", "g6", "x4", "x5", "x6")
     val bridge = new EdgeNode(RelSchema("g7", Vector("x1", "x4")))
-    new GhdEngine("dumbbell", Vector(t1, bridge, t2), k, seed)
+    rs(new Decomposition("dumbbell_ghd", Vector(t1, bridge, t2)), k, seed)
   }
 
   /** A single triangle (width-1.5 single-bag GHD) — the minimal cyclic case. */
   def triangle(k: Int, seed: Long): GhdEngine = {
     val t = new TriangleNode("g1", "g2", "g3", "x1", "x2", "x3")
-    new GhdEngine("triangle", Vector(t), k, seed)
+    rs(new Decomposition("triangle_ghd", Vector(t)), k, seed)
   }
 }

@@ -6,6 +6,7 @@ import scala.collection.mutable.ArrayBuffer
 import repro.{Oracle, SparkSpec, SynthDataX, TestKit}
 import repro.core.Proj.JoinRow
 import repro.core.baseline.SJoinEngine
+import repro.core.fk.{FkEngine, FkSpec}
 
 /** Differential test on random α-acyclic queries: 2–7 relations grown as a
   * random join tree, with multi-attribute join keys (in a different order in
@@ -21,7 +22,10 @@ import repro.core.baseline.SJoinEngine
   * oracle is a nested-loop join over the raw tuples, independent of the
   * stores and enumerators the engines use. On the first two queries of each
   * arity, the plain engine's sample with `k ≥ |Q|` must also be the same
-  * multiset of rows as DuckDB's natural join of the stream.
+  * multiset of rows as DuckDB's natural join of the stream. With one join-tree
+  * edge's key made a primary key of its parent, the FK-combined engines must
+  * keep the plain engines' full join, and SJoin_opt must offer `|ΔQ|` per
+  * insert, as plain SJoin does.
   */
 class RandomAcyclicSpec extends SparkSpec {
   import RandomAcyclicSpec._
@@ -60,6 +64,28 @@ class RandomAcyclicSpec extends SparkSpec {
         SynthDataX.naturalJoinSql(q), SynthDataX.workloadTables(spark, q, stream): _*)
     }
     assert(rows > 0, "no query joined")
+  }
+
+  test("random acyclic queries with a foreign key: FkEngine.rs and .sj keep the full join and |ΔQ|") {
+    var checked = 0
+    var combined = 0L
+    for (n <- 2 to 7) TestKit.forCases(10, seed0 = 7100L + n) { rng =>
+      val q = randomQuery(n, rng)
+      val keyed = JoinTree.unrooted(q).get.filter { case (a, b) => q.shared(a, b).nonEmpty }
+      if (keyed.nonEmpty) {
+        val (a, b) = keyed(rng.nextInt(keyed.size))
+        val (child, parent) = if (rng.nextInt(2) == 0) (a, b) else (b, a)
+        val key = q.shared(child, parent)
+        val (parentName, keyPos) = (q.relations(parent).name, q.relations(parent).idxOf(key))
+        val keys = mutable.HashSet.empty[Seq[Long]]
+        val stream = randomStream(q, steps = 10 + 6 * n, rng).filter { case (rel, t) =>
+          rel != parentName || keys.add(keyPos.toSeq.map(t(_)))
+        }
+        combined += checkFk(q, FkSpec(q.relations(child).name, key, parentName), stream)
+        checked += 1
+      }
+    }
+    assert(checked > 40 && combined > 0, s"$checked queries, $combined combined tuples")
   }
 }
 
@@ -211,5 +237,30 @@ object RandomAcyclicSpec {
     }
     val states = engines(1)._2.index.states
     Coverage(states.count(_.grouped), states.count(_.keyAttrs.size > 1), full.size.toLong)
+  }
+
+  /** Run RSJoin_opt and SJoin_opt under `fk` beside plain SJoin over
+    * `stream`: SJoin_opt must offer each insert's `|ΔQ|`, as plain SJoin
+    * does, and both must end with plain SJoin's full join. Returns the number
+    * of combined tuples the FK engines inserted.
+    */
+  def checkFk(q: JoinQuery, fk: FkSpec, stream: Seq[(String, Array[Long])]): Long = {
+    val plain = new SJoinEngine(q, 1, 7)
+    val opts = Vector("FkEngine.rs" -> FkEngine.rs(q, Seq(fk), 1, 7), "FkEngine.sj" -> FkEngine.sj(q, Seq(fk), 1, 7))
+    val sj = opts(1)._2.inner.reservoir
+    for (((rel, t), step) <- stream.zipWithIndex) {
+      val before = (plain.reservoir.itemsOffered, sj.itemsOffered)
+      plain.insert(rel, t.clone())
+      opts.foreach(_._2.insert(rel, t.clone()))
+      assert(sj.itemsOffered - before._2 == plain.reservoir.itemsOffered - before._1,
+        s"${q.relations.mkString(" ")} with $fk, step $step ($rel ${t.mkString(",")}): " +
+          s"SJoin_opt offered ${sj.itemsOffered - before._2}, |ΔQ| = ${plain.reservoir.itemsOffered - before._1}")
+    }
+    val full = counts((0L until plain.fullCount).flatMap(z => plain.index.retrieveFull(0, z)))
+    for ((name, e) <- opts) {
+      val rows = (0L until e.inner.fullCount).flatMap(z => e.inner.index.retrieveFull(0, z))
+      assert(counts(rows) == full, s"${q.relations.mkString(" ")} with $fk: $name's full join differs")
+    }
+    opts(0)._2.simulatedInserts
   }
 }

@@ -115,6 +115,17 @@ class FkCombinerSpec extends SparkSpec {
     }
   }
 
+  test("simulatedInserts counts the combined rows translate emits (qz)") {
+    val w = StreamGen.qz(0.05, 3)
+    val stream = w.preload ++ w.stream
+    val e = FkEngine.rs(Queries.qz, Queries.qzFks, 40, 7, grouping = true, trackFullJoin = false)
+    val c = new FkCombiner(Queries.qz, Queries.qzFks)
+    IndexHarness.feed(e, stream.map { case (r, t) => (r, t.clone()) })
+    val emitted = stream.map { case (r, t) => c.translate(r, t).size.toLong }.sum
+    assert(emitted > 0)
+    assert(e.simulatedInserts === emitted)
+  }
+
   for ((name, q, fks, sf) <- Seq(
     ("qx", Queries.qx, Queries.qxFks, 0.05),
     ("qy", Queries.qy, Queries.qyFks, 0.05),
