@@ -25,10 +25,16 @@ final class RelationStore(
   /** Register (or fetch) the index on `attrs`, backfilling existing tuples.
     * Its dictionary is `dicts(attrs)`, created on first use: the caller's
     * dictionaries, one per attribute list, shared with its other stores.
+    * `listing` is the index's [[KeyIndex.Listing]]; an index is registered
+    * under one listing only.
     */
-  def ensureIndex(attrs: Vector[String], dicts: mutable.Map[Vector[String], KeyDict]): KeyIndex =
-    indexes.find(_.attrs == attrs).getOrElse {
-      val ix = new KeyIndex(attrs, dicts.getOrElseUpdate(attrs, new KeyDict(attrs.size)), schema.idxOf(attrs))
+  def ensureIndex(attrs: Vector[String], dicts: mutable.Map[Vector[String], KeyDict],
+                  listing: KeyIndex.Listing = KeyIndex.All): KeyIndex =
+    indexes.find(_.attrs == attrs).map { ix =>
+      require(ix.listing == listing, s"${schema.name}: index on $attrs is ${ix.listing}, not $listing")
+      ix
+    }.getOrElse {
+      val ix = new KeyIndex(attrs, dicts.getOrElseUpdate(attrs, new KeyDict(attrs.size)), schema.idxOf(attrs), listing)
       var id = 0
       while (id < tuples.length) { ix.add(id, tuples(id)); id += 1 }
       indexes :+= ix
@@ -37,8 +43,7 @@ final class RelationStore(
 
   /** Append `t` and encode its key on every registered attribute list. */
   def insert(t: Tup): Int = {
-    require(t.length == schema.arity,
-      s"${schema.name}: tuple arity ${t.length} != ${schema.arity}")
+    requireArity(t)
     val id = tuples.length
     if (id >= capacity)
       throw new IllegalStateException(
@@ -48,6 +53,10 @@ final class RelationStore(
     while (i < indexes.length) { indexes(i).add(id, t); i += 1 }
     id
   }
+
+  /** An `IllegalArgumentException` unless `t` has the schema's arity. */
+  def requireArity(t: Tup): Unit =
+    require(t.length == schema.arity, s"${schema.name}: tuple arity ${t.length} != ${schema.arity}")
 
   def size: Int = tuples.length
 
@@ -68,27 +77,67 @@ object RelationStore {
 }
 
 /** A store's index on one attribute list: each tuple's key id (the key-id
-  * column, indexed by tuple id) and the semijoin lists, tuple ids by key id
-  * in insertion order.
+  * column, indexed by tuple id) and, by its [[KeyIndex.Listing]], the
+  * semijoin lists (tuple ids by key id, in insertion order) or the one tuple
+  * of each key.
   */
-final class KeyIndex private[core] (val attrs: Vector[String], val dict: KeyDict, idx: Array[Int])
-    extends Serializable {
+final class KeyIndex private[core] (val attrs: Vector[String], val dict: KeyDict, idx: Array[Int],
+                                    val listing: KeyIndex.Listing) extends Serializable {
   private var column = new Array[Int](0)
 
-  /** The tuples of each key. */
+  /** The listed tuples of each key (none under `Unique`). */
   val ids = new IdLists
+
+  /** Under `Unique`, 1 + the tuple id of each key id (0: none yet). */
+  private var single: Array[Int] = if (listing == KeyIndex.Unique) new Array[Int](0) else null
 
   /** The key id of tuple `id`. */
   def keyOf(id: Int): Int = column(id)
+
+  /** Under `Unique`, the tuple with key id `k`, or -1. */
+  def tupleOf(k: Int): Int = if (k < single.length) single(k) - 1 else -1
+
+  /** Under `Unique`, the tuple whose key is `t`'s, or -1; adds no key. */
+  def holderOf(t: Array[Long]): Int = {
+    val k = dict.find(t, idx)
+    if (k < 0) -1 else tupleOf(k)
+  }
+
+  /** `t`'s key, as `attr = value` pairs. */
+  private[core] def show(t: Array[Long]): String = attrs.indices.map(i => s"${attrs(i)} = ${t(idx(i))}").mkString("(", ", ", ")")
 
   private[core] def add(id: Int, t: Array[Long]): Unit = {
     val k = dict.idOf(t, idx)
     if (id >= column.length) column = java.util.Arrays.copyOf(column, Slots.grownLength(column.length, id + 1))
     column(id) = k
-    ids.add(k, id)
+    listing match {
+      case KeyIndex.All => ids.add(k, id)
+      case KeyIndex.Unique =>
+        if (k >= single.length) single = java.util.Arrays.copyOf(single, Slots.grownLength(single.length, k + 1))
+        single(k) = id + 1
+      case KeyIndex.Owner =>
+    }
   }
 
-  def approxBytes: Long = Bytes.Object + Bytes.ints(column.length) + ids.approxBytes
+  def approxBytes: Long = Bytes.Object + Bytes.ints(column.length) + ids.approxBytes +
+    (if (single == null) 0L else Bytes.ints(single.length))
+}
+
+object KeyIndex {
+  /** What an index keeps besides the key-id column. */
+  sealed trait Listing extends Serializable
+
+  /** Every tuple, in its key's semijoin list. */
+  case object All extends Listing
+
+  /** Only the tuples its owner lists through `ids.add`. */
+  case object Owner extends Listing
+
+  /** The one tuple of each key, in a flat array by key id (`tupleOf`): the
+    * key is a primary key. The owner keeps it one: a second tuple with a
+    * present key replaces the first.
+    */
+  case object Unique extends Listing
 }
 
 /** Unboxed `Int` lists in an array indexed by key id, each in insertion

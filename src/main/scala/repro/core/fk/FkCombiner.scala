@@ -21,18 +21,21 @@ final case class FkSpec(childRel: String, keyAttrs: Vector[String], parentRel: S
   *
   * It rejects, with an `IllegalArgumentException` naming the spec, an
   * [[FkSpec]] that names an unknown relation or whose `keyAttrs` are not
-  * exactly the attributes its child and parent share.
+  * exactly the attributes its child and parent share. Each group's bag gets
+  * the group's specs, so it refuses a parent tuple whose primary key is
+  * already present (see [[DeltaEnumerator]]).
   *
   * @param groups member relation indices per group, in original order
   */
-final class FkCombiner private (baseQuery: JoinQuery, val groups: Vector[Vector[Int]])
+final class FkCombiner private (baseQuery: JoinQuery, fks: Seq[FkSpec], val groups: Vector[Vector[Int]])
     extends Decomposition(baseQuery.name + "_fk", groups.map { g =>
       val members = g.map(baseQuery.relations(_))
       if (g.size == 1) new EdgeNode(members.head)
-      else new DeltaEnumerator(JoinQuery(members.map(_.name).mkString("+"), members))
+      else new DeltaEnumerator(JoinQuery(members.map(_.name).mkString("+"), members),
+        fks.filter(fk => members.exists(_.name == fk.childRel)))
     }) {
 
-  def this(baseQuery: JoinQuery, fks: Seq[FkSpec]) = this(baseQuery, FkCombiner.groups(baseQuery, fks))
+  def this(baseQuery: JoinQuery, fks: Seq[FkSpec]) = this(baseQuery, fks, FkCombiner.groups(baseQuery, fks))
 
   /** The rewritten (combined) query the inner engine runs on: relation `gi`
     * combines group `gi`.

@@ -6,7 +6,8 @@ import scala.collection.mutable.ArrayBuffer
 import repro.{Oracle, SparkSpec, SynthDataX, TestKit}
 import repro.core.Proj.JoinRow
 import repro.core.baseline.SJoinEngine
-import repro.core.fk.{FkEngine, FkSpec}
+import repro.core.fk.{FkCombiner, FkEngine, FkSpec}
+import repro.data.StreamGen
 
 /** Differential test on random α-acyclic queries: 2–7 relations grown as a
   * random join tree, with multi-attribute join keys (in a different order in
@@ -23,9 +24,10 @@ import repro.core.fk.{FkEngine, FkSpec}
   * stores and enumerators the engines use. On the first two queries of each
   * arity, the plain engine's sample with `k ≥ |Q|` must also be the same
   * multiset of rows as DuckDB's natural join of the stream. With one join-tree
-  * edge's key made a primary key of its parent, the FK-combined engines must
-  * keep the plain engines' full join, and SJoin_opt must offer `|ΔQ|` per
-  * insert, as plain SJoin does.
+  * edge's key made a primary key of its parent, or with two or three such
+  * keys in a chain, a fan-out or around a shared parent, the FK-combined
+  * engines must keep the plain engines' full join, and SJoin_opt must offer
+  * `|ΔQ|` per insert, as plain SJoin does.
   */
 class RandomAcyclicSpec extends SparkSpec {
   import RandomAcyclicSpec._
@@ -76,16 +78,70 @@ class RandomAcyclicSpec extends SparkSpec {
         val (a, b) = keyed(rng.nextInt(keyed.size))
         val (child, parent) = if (rng.nextInt(2) == 0) (a, b) else (b, a)
         val key = q.shared(child, parent)
-        val (parentName, keyPos) = (q.relations(parent).name, q.relations(parent).idxOf(key))
-        val keys = mutable.HashSet.empty[Seq[Long]]
-        val stream = randomStream(q, steps = 10 + 6 * n, rng).filter { case (rel, t) =>
-          rel != parentName || keys.add(keyPos.toSeq.map(t(_)))
-        }
-        combined += checkFk(q, FkSpec(q.relations(child).name, key, parentName), stream)
+        val fks = Seq(FkSpec(q.relations(child).name, key, q.relations(parent).name))
+        combined += checkFk(q, fks, keyedStream(q, fks, steps = 10 + 6 * n, rng))
         checked += 1
       }
     }
     assert(checked > 40 && combined > 0, s"$checked queries, $combined combined tuples")
+  }
+
+  test("random acyclic queries with FK groups of 2-3 keys (chain, fan-out, shared parent): the full join and |ΔQ|") {
+    val shapes = Vector("chain", "fan-out", "shared parent")
+    val checked = mutable.Map.empty[String, Int].withDefaultValue(0)
+    var combined = 0L
+    var (early, late) = (0, 0)
+    var cases = 0
+    for (n <- 3 to 7) TestKit.forCases(15, seed0 = 7200L + n) { rng =>
+      val q = randomQuery(n, rng)
+      val keyed = JoinTree.unrooted(q).get.filter { case (a, b) => q.shared(a, b).nonEmpty }
+      def nbrs(v: Int): Vector[Int] = keyed.collect { case (`v`, b) => b; case (a, `v`) => a }
+      def spec(child: Int, parent: Int) = FkSpec(q.relations(child).name, q.shared(child, parent), q.relations(parent).name)
+      val shape = shapes(cases % shapes.size)
+      cases += 1
+      val centres = (0 until n).filter(nbrs(_).size >= 2)
+      val fks: Seq[FkSpec] = if (centres.isEmpty) Nil else {
+        // A centre and 2 or 3 of its keyed neighbours.
+        val centre = centres(rng.nextInt(centres.size))
+        val around = StreamGen.shuffle(nbrs(centre), rng).take(2 + rng.nextInt(2))
+        shape match {
+          case "chain" => // around(0) → centre → around(1) [→ one further]
+            val path = ArrayBuffer(around(0), centre, around(1))
+            nbrs(path.last).filterNot(path.contains).headOption.filter(_ => rng.nextInt(2) == 0).foreach(path += _)
+            path.indices.tail.map(i => spec(path(i - 1), path(i)))
+          case "fan-out" => around.map(spec(centre, _))
+          case _ => around.map(spec(_, centre)) // shared parent
+        }
+      }
+      if (fks.size >= 2) {
+        val stream = keyedStream(q, fks, steps = 10 + 6 * n, rng)
+        for (fk <- fks) {
+          val (c, p) = (q.indexOf(fk.childRel), q.indexOf(fk.parentRel))
+          val (cPos, pPos) = (q.relations(c).idxOf(fk.keyAttrs), q.relations(p).idxOf(fk.keyAttrs))
+          val seen = mutable.HashSet.empty[Seq[Long]]
+          for ((rel, t) <- stream) {
+            if (rel == fk.parentRel) seen += pPos.toSeq.map(t(_))
+            else if (rel == fk.childRel) { if (seen(cPos.toSeq.map(t(_)))) late += 1 else early += 1 }
+          }
+        }
+        combined += checkFk(q, fks, stream)
+        val sub = JoinQuery("group", new FkCombiner(q, fks).groups.find(_.size > 1).get.map(q.relations(_)))
+        val parent = sub.indexOf(fks.head.parentRel)
+        if (shape == "shared parent" && JoinTree.unrooted(sub).get.forall { case (a, b) => a == parent || b == parent }) {
+          // With the parent between its children in the group's join tree,
+          // every child stays listed: the key-aware bag keeps every semijoin
+          // list in full, so it can enumerate its whole join.
+          val bag = new DeltaEnumerator(sub, fks)
+          val part = stream.filter(x => sub.relIdx.contains(x._1))
+          part.foreach { case (r, t) => bag.insertOnly(r, t.clone()) }
+          assert(bag.fullJoin().toSet == OracleCheck.bruteJoin(sub, part), s"$sub with $fks: the bag's join differs")
+          checked("all listed") += 1
+        }
+        checked(shape) += 1
+      }
+    }
+    assert(shapes.forall(checked(_) >= 15) && checked("all listed") >= 10 && combined > 0, s"$checked, $combined combined tuples")
+    assert(early > 0 && late > 0, s"children before their parent: $early, after: $late")
   }
 }
 
@@ -239,27 +295,38 @@ object RandomAcyclicSpec {
     Coverage(states.count(_.grouped), states.count(_.keyAttrs.size > 1), full.size.toLong)
   }
 
-  /** Run RSJoin_opt and SJoin_opt under `fk` beside plain SJoin over
+  /** A [[randomStream]] in which each parent of `fks` holds each key once:
+    * a parent tuple whose key is already present is dropped.
+    */
+  def keyedStream(q: JoinQuery, fks: Seq[FkSpec], steps: Int, rng: Rng): Vector[(String, Array[Long])] = {
+    val keys = fks.map(fk => (fk.parentRel, q.relations(q.indexOf(fk.parentRel)).idxOf(fk.keyAttrs), mutable.HashSet.empty[Seq[Long]]))
+    randomStream(q, steps, rng).filter { case (rel, t) =>
+      val mine = keys.filter(_._1 == rel).map { case (_, pos, seen) => (pos.toSeq.map(t(_)), seen) }
+      mine.forall { case (key, seen) => !seen(key) } && { mine.foreach { case (key, seen) => seen += key }; true }
+    }
+  }
+
+  /** Run RSJoin_opt and SJoin_opt under `fks` beside plain SJoin over
     * `stream`: SJoin_opt must offer each insert's `|ΔQ|`, as plain SJoin
     * does, and both must end with plain SJoin's full join. Returns the number
     * of combined tuples the FK engines inserted.
     */
-  def checkFk(q: JoinQuery, fk: FkSpec, stream: Seq[(String, Array[Long])]): Long = {
+  def checkFk(q: JoinQuery, fks: Seq[FkSpec], stream: Seq[(String, Array[Long])]): Long = {
     val plain = new SJoinEngine(q, 1, 7)
-    val opts = Vector("FkEngine.rs" -> FkEngine.rs(q, Seq(fk), 1, 7), "FkEngine.sj" -> FkEngine.sj(q, Seq(fk), 1, 7))
+    val opts = Vector("FkEngine.rs" -> FkEngine.rs(q, fks, 1, 7), "FkEngine.sj" -> FkEngine.sj(q, fks, 1, 7))
     val sj = opts(1)._2.inner.reservoir
     for (((rel, t), step) <- stream.zipWithIndex) {
       val before = (plain.reservoir.itemsOffered, sj.itemsOffered)
       plain.insert(rel, t.clone())
       opts.foreach(_._2.insert(rel, t.clone()))
       assert(sj.itemsOffered - before._2 == plain.reservoir.itemsOffered - before._1,
-        s"${q.relations.mkString(" ")} with $fk, step $step ($rel ${t.mkString(",")}): " +
+        s"${q.relations.mkString(" ")} with $fks, step $step ($rel ${t.mkString(",")}): " +
           s"SJoin_opt offered ${sj.itemsOffered - before._2}, |ΔQ| = ${plain.reservoir.itemsOffered - before._1}")
     }
     val full = counts((0L until plain.fullCount).flatMap(z => plain.index.retrieveFull(0, z)))
     for ((name, e) <- opts) {
       val rows = (0L until e.inner.fullCount).flatMap(z => e.inner.index.retrieveFull(0, z))
-      assert(counts(rows) == full, s"${q.relations.mkString(" ")} with $fk: $name's full join differs")
+      assert(counts(rows) == full, s"${q.relations.mkString(" ")} with $fks: $name's full join differs")
     }
     opts(0)._2.simulatedInserts
   }

@@ -65,6 +65,38 @@ class FkCombinerSpec extends SparkSpec {
     assert(new FkCombiner(q, Seq(FkSpec("f", Vector("y", "x"), "d"))).combinedQuery.arity === 1)
   }
 
+  test("a repeated primary key throws naming the spec and the key, and leaves no state behind (qx)") {
+    val (c1Key, d1Key) = (Queries.qxFks(0), Queries.qxFks(1))
+    TestKit.forCases(3, seed0 = 47) { rng =>
+      val w = StreamGen.qx(sf = 0.03, seed = rng.nextLong(1000))
+      val valid = StreamGen.shuffle(w.preload ++ w.stream, rng)
+      val c = new FkCombiner(Queries.qx, Queries.qxFks)
+      val emitted = Vector.newBuilder[Map[String, Long]]
+      def emit(r: String, t: Array[Long]): Unit =
+        for ((_, row) <- c.translate(r, t)) emitted += c.combinedQuery.relations.head.attrs.zip(row).toMap
+      var refused = 0
+      // A key of c1 or d1 is repeated once it is present. The repeat points
+      // c1 at an hdemo1 no d1 has, and gives d1 a fresh payload, so a stored
+      // repeat would add rows to what comes after it.
+      for (((r, t), i) <- valid.zipWithIndex) {
+        emit(r, t)
+        if (r == "c1" || r == "d1") {
+          val (spec, key, repeat) =
+            if (r == "c1") (c1Key, "cust1", Array(t(0), 1000L + i, -1L)) else (d1Key, "hdemo1", Array(t(0), t(1), -1L))
+          val e = intercept[IllegalArgumentException](c.translate(r, repeat))
+          assert(e.getMessage.contains(spec.toString) && e.getMessage.contains(s"$key = ${t(0)}"), e.getMessage)
+          refused += 1
+        }
+      }
+      assert(refused > 0)
+      val rows = emitted.result()
+      val expected = OracleCheck.bruteJoin(Queries.qx, valid)
+      assert(expected.nonEmpty)
+      assert(rows.size === rows.toSet.size, "a row emitted twice")
+      assert(rows.toSet === expected)
+    }
+  }
+
   /** A QZ stream at a small scale, deduplicated per relation and shuffled
     * whole: dimension tuples arrive both before and after their facts.
     */
