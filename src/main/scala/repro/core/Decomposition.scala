@@ -1,7 +1,9 @@
 package repro.core
 
 /** Receives rows one at a time, each tagged with the index of the relation
-  * it belongs to. The row array is the receiver's to keep.
+  * it belongs to. A row of values is the receiver's to keep; a member-id
+  * vector (see [[CombinedStore]]) is its sender's scratch, valid until
+  * `emit` returns.
   */
 abstract class RowSink extends Serializable {
   def emit(rel: Int, row: Array[Long]): Unit
@@ -15,10 +17,14 @@ abstract class RowSink extends Serializable {
 trait GhdNode extends Serializable {
   /** Output relation of this bag in the bag query. */
   def output: RelSchema
+  /** The store of `output` that the inner engine keeps: the tuples `insert`
+    * emits are tuples of it.
+    */
+  def store: RelationStore
   /** Base relations this bag consumes. */
   def inputs: Seq[String]
   /** Absorb one tuple of `inputs(rel)`; pass each delta tuple of `Q_u`
-    * (output layout, once per multiplicity) to `out`, tagged `tag`.
+    * (a tuple of `store`, once per multiplicity) to `out`, tagged `tag`.
     */
   def insert(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit
   def approxBytes: Long
@@ -27,6 +33,7 @@ trait GhdNode extends Serializable {
 /** Identity bag: a base relation covered by a bag of its own. */
 final class EdgeNode(val schema: RelSchema) extends GhdNode {
   def output: RelSchema = schema
+  val store: RelationStore = new ValueStore(schema)
   def inputs: Seq[String] = Seq(schema.name)
   def insert(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit = out.emit(tag, values)
   def approxBytes: Long = 0L
@@ -35,12 +42,15 @@ final class EdgeNode(val schema: RelSchema) extends GhdNode {
 /** How a base tuple becomes tuples of the bag query: each base relation is
   * routed to the bag that owns it, and the bag's delta rows are tuples of
   * relation `i` of `query` for bag `i`. The inner acyclic engine runs on
-  * `query`.
+  * `query`, over `stores`.
   */
 class Decomposition(name: String, nodes: Vector[GhdNode]) extends Serializable {
 
   /** The bag query: relation `i` is bag `i`'s output. */
   val query: JoinQuery = JoinQuery(name, nodes.map(_.output))
+
+  /** The bags' output stores, by relation of `query`. */
+  val stores: Vector[RelationStore] = nodes.map(_.store)
 
   /** Each base relation's bag, and its index among the bag's inputs. */
   private val owner: Map[String, (Int, Int)] =

@@ -15,7 +15,9 @@ import repro.core.fk.FkSpec
   * oracle the index tests compare against, and (b) the bag of a foreign-key
   * group in the foreign-key combination optimization, where delta sizes are
   * small by construction (parent-direction lookups are unique under key
-  * constraints). As a bag, its output is `query.attributes`.
+  * constraints). As a bag, its output relation is over `query.attributes`,
+  * kept in a [[CombinedStore]]: it emits each result as its member-id vector,
+  * the id of the tuple it joins in each relation of `query`.
   *
   * The group's foreign keys `fks` make it key-aware. A relation whose key on
   * a join-tree edge is a primary key that `fks` declare keeps, in place of
@@ -33,7 +35,10 @@ final class DeltaEnumerator(val query: JoinQuery, fks: Seq[FkSpec] = Nil) extend
   val output: RelSchema = RelSchema(query.name, query.attributes)
   def inputs: Seq[String] = query.relations.map(_.name)
 
-  val stores: Vector[RelationStore] = query.relations.map(new RelationStore(_))
+  val stores: Vector[ValueStore] = query.relations.map(new ValueStore(_))
+
+  private val layout = new RowLayout(query, stores)
+  val store: RelationStore = new CombinedStore(output, layout)
 
   private val unrootedEdges = JoinTree.unrooted(query).getOrElse(
     throw new IllegalArgumentException(s"DeltaEnumerator: ${query.name} is cyclic"))
@@ -119,23 +124,13 @@ final class DeltaEnumerator(val query: JoinQuery, fks: Seq[FkSpec] = Nil) extend
     childIx(r) = up.map(nearIx)
   }
 
-  /** Each relation's share of a result row: the attributes it is the first
-    * relation to hold, as positions in its tuples and as slots among
-    * `query.attributes`.
+  /** `expand`'s scratch: the tuple id matched in each relation so far,
+    * and at the end of a match the member-id vector it emits.
     */
-  private val ownAttrs: Vector[Vector[String]] = {
-    val seen = mutable.Set.empty[String]
-    query.relations.map(_.attrs.filter(seen.add))
-  }
-  private val ownPos: Array[Array[Int]] = query.relations.zip(ownAttrs).map { case (s, own) => s.idxOf(own) }.toArray
-  private val ownSlots: Array[Array[Int]] = ownAttrs.map(_.map(query.attributes.indexOf).toArray).toArray
-
-  /** `expand`'s scratch: the tuple id matched in each relation so far. */
-  private val ids = new Array[Int](query.arity)
+  private val ids = new Array[Long](query.arity)
 
   /** Insert `values` into relation `rel` and pass each result of the delta
-    * join to `out`, tagged `tag`, as a new array of values over the slots of
-    * `query.attributes`.
+    * join to `out`, tagged `tag`, as the member-id vector in `ids`.
     */
   def insert(rel: Int, values: Array[Long], out: RowSink, tag: Int): Unit = {
     ids(rel) = add(rel, values)
@@ -209,22 +204,22 @@ final class DeltaEnumerator(val query: JoinQuery, fks: Seq[FkSpec] = Nil) extend
   /** Bytes of the stores and the dictionaries (see [[Bytes]]). */
   def approxBytes: Long = stores.map(_.approxBytes).sum + dicts.valuesIterator.map(_.approxBytes).sum
 
-  /** Collects rows as `Map`s, for the tests' oracle. */
+  /** Collects rows, read through the member stores, for the tests' oracle. */
   private final class Rows extends RowSink {
     val rows = new ArrayBuffer[JoinRow]
-    def emit(rel: Int, row: Array[Long]): Unit = rows += query.attributes.iterator.zip(row.iterator).toMap
+    def emit(rel: Int, row: Array[Long]): Unit = rows += new IdRow(layout, row.map(_.toInt))
   }
 
   /** Match the `d`-th relation of `root`'s preorder, and those after it,
     * through the semijoin list (or the one tuple) its parent's tuple names by
-    * key id; past the last one, emit the row of the tuples in `ids`.
+    * key id; past the last one, emit `ids`.
     */
   private def expand(root: Int, d: Int, out: RowSink, tag: Int): Unit = {
     val order = visitOrder(root)
-    if (d == order.length) out.emit(tag, row())
+    if (d == order.length) out.emit(tag, ids)
     else {
       val c = order(d)
-      val k = parentIx(root)(d).keyOf(ids(parentOf(root)(d)))
+      val k = parentIx(root)(d).keyOf(ids(parentOf(root)(d)).toInt)
       val ix = childIx(root)(d)
       if (ix.listing == KeyIndex.Unique) {
         val t = ix.tupleOf(k)
@@ -242,20 +237,5 @@ final class DeltaEnumerator(val query: JoinQuery, fks: Seq[FkSpec] = Nil) extend
         }
       }
     }
-  }
-
-  /** The values of the tuples in `ids`, each attribute written once. */
-  private def row(): Array[Long] = {
-    val row = new Array[Long](query.attributes.length)
-    var r = 0
-    while (r < ids.length) {
-      val t = stores(r).tuples(ids(r))
-      val pos = ownPos(r)
-      val slots = ownSlots(r)
-      var i = 0
-      while (i < pos.length) { row(slots(i)) = t(pos(i)); i += 1 }
-      r += 1
-    }
-    row
   }
 }

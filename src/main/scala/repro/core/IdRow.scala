@@ -15,7 +15,7 @@ final class RowLayout(query: JoinQuery, val stores: Vector[RelationStore]) exten
   val slot: Map[String, Int] = attrs.zipWithIndex.toMap
 
   /** Attribute `i` of the row whose tuple ids are `ids`. */
-  def value(ids: Array[Int], i: Int): Long = stores(rel(i)).tuples(ids(rel(i)))(pos(i))
+  def value(ids: Array[Int], i: Int): Long = stores(rel(i)).value(ids(rel(i)), pos(i))
 }
 
 /** A join row as a view: one tuple id per relation of the layout's query,

@@ -11,16 +11,32 @@ import scala.collection.mutable.ArrayBuffer
   * Section 4, positionally addressable for retrieval. Indexes can be
   * registered at any time (existing tuples are backfilled), and are
   * deduplicated by attribute list so several states can share them.
+  *
+  * A [[ValueStore]] keeps each tuple's values; a [[CombinedStore]] keeps a
+  * join row as the ids of the tuples it joins and reads its values through
+  * their stores.
   */
-final class RelationStore(
-    val schema: RelSchema,
-    private[core] val capacity: Int = RelationStore.MaxTuples,
-) extends Serializable {
-  import Proj.Tup
-
-  val tuples = new ArrayBuffer[Tup]
+abstract class RelationStore(val schema: RelSchema, private[core] val capacity: Int) extends Serializable {
 
   private var indexes = Array.empty[KeyIndex]
+
+  def size: Int
+
+  /** The value at position `pos` of tuple `id`. */
+  def value(id: Int, pos: Int): Long
+
+  /** Append a tuple, encode its key on every registered attribute list and
+    * return its id.
+    */
+  def insert(t: Array[Long]): Int
+
+  /** Tuple `id`'s values, at least at the positions an index reads; valid
+    * until the next call.
+    */
+  protected def keyValues(id: Int): Array[Long]
+
+  /** Called with a new index's positions before it is backfilled. */
+  protected def reads(idx: Array[Int]): Unit = ()
 
   /** Register (or fetch) the index on `attrs`, backfilling existing tuples.
     * Its dictionary is `dicts(attrs)`, created on first use: the caller's
@@ -28,44 +44,136 @@ final class RelationStore(
     * `listing` is the index's [[KeyIndex.Listing]]; an index is registered
     * under one listing only.
     */
-  def ensureIndex(attrs: Vector[String], dicts: mutable.Map[Vector[String], KeyDict],
-                  listing: KeyIndex.Listing = KeyIndex.All): KeyIndex =
+  final def ensureIndex(attrs: Vector[String], dicts: mutable.Map[Vector[String], KeyDict],
+                        listing: KeyIndex.Listing = KeyIndex.All): KeyIndex =
     indexes.find(_.attrs == attrs).map { ix =>
       require(ix.listing == listing, s"${schema.name}: index on $attrs is ${ix.listing}, not $listing")
       ix
     }.getOrElse {
-      val ix = new KeyIndex(attrs, dicts.getOrElseUpdate(attrs, new KeyDict(attrs.size)), schema.idxOf(attrs), listing)
+      val idx = schema.idxOf(attrs)
+      reads(idx)
+      val ix = new KeyIndex(attrs, dicts.getOrElseUpdate(attrs, new KeyDict(attrs.size)), idx, listing)
       var id = 0
-      while (id < tuples.length) { ix.add(id, tuples(id)); id += 1 }
+      while (id < size) { ix.add(id, keyValues(id)); id += 1 }
       indexes :+= ix
       ix
     }
 
-  /** Append `t` and encode its key on every registered attribute list. */
-  def insert(t: Tup): Int = {
-    requireArity(t)
-    val id = tuples.length
+  /** The id the next tuple gets; an `IllegalStateException` naming the
+    * relation once the store holds `capacity` tuples.
+    */
+  protected final def nextId(): Int = {
+    val id = size
     if (id >= capacity)
       throw new IllegalStateException(
         s"${schema.name}: relation full at $capacity tuples (tuple ids are Ints)")
-    tuples += t
-    var i = 0
-    while (i < indexes.length) { indexes(i).add(id, t); i += 1 }
     id
   }
+
+  /** Encode tuple `id`, whose values `t` holds, on every index. */
+  protected final def indexTuple(id: Int, t: Array[Long]): Unit = {
+    var i = 0
+    while (i < indexes.length) { indexes(i).add(id, t); i += 1 }
+  }
+
+  /** Bytes of the indexes' columns and lists (see [[Bytes]]); the
+    * dictionaries are their owner's.
+    */
+  def approxBytes: Long = indexes.iterator.map(_.approxBytes).sum
+}
+
+/** A store that keeps each tuple's values: the caller's array, for good. */
+final class ValueStore(schema: RelSchema, capacity: Int = RelationStore.MaxTuples)
+    extends RelationStore(schema, capacity) {
+  import Proj.Tup
+
+  val tuples = new ArrayBuffer[Tup]
+
+  def size: Int = tuples.length
+
+  def value(id: Int, pos: Int): Long = tuples(id)(pos)
+
+  protected def keyValues(id: Int): Array[Long] = tuples(id)
 
   /** An `IllegalArgumentException` unless `t` has the schema's arity. */
   def requireArity(t: Tup): Unit =
     require(t.length == schema.arity, s"${schema.name}: tuple arity ${t.length} != ${schema.arity}")
 
-  def size: Int = tuples.length
+  def insert(t: Tup): Int = {
+    requireArity(t)
+    val id = nextId()
+    tuples += t
+    indexTuple(id, t)
+    id
+  }
 
-  /** Bytes of the tuples and of the indexes' columns and lists (see
-    * [[Bytes]]); the dictionaries are their owner's.
-    */
-  def approxBytes: Long =
-    Bytes.refs(tuples.length) + tuples.length.toLong * Bytes.longs(schema.arity) +
-      indexes.iterator.map(_.approxBytes).sum
+  override def approxBytes: Long =
+    Bytes.refs(tuples.length) + tuples.length.toLong * Bytes.longs(schema.arity) + super.approxBytes
+}
+
+/** A store of the join rows of `layout`'s query, the bag of a foreign-key
+  * group (Section 4.4): a row is one tuple id per member relation, the
+  * member-id vector, and the rows sit flat in one `Int` column, row `id` at
+  * `[id·n, (id+1)·n)` for `n` members. Its values are read through `layout`
+  * from the member stores, which are append-only, so a row keeps naming the
+  * same tuples. An index's key is gathered from the member tuples, at
+  * insert, into one scratch array.
+  *
+  * `insert` takes the member-id vector as `Array[Long]` and keeps no
+  * reference to it. A vector of the wrong width, or with an id that its
+  * member store does not hold, is an `IllegalArgumentException` naming the
+  * group.
+  */
+final class CombinedStore(schema: RelSchema, val layout: RowLayout)
+    extends RelationStore(schema, RelationStore.MaxTuples / layout.stores.length) {
+
+  require(schema.attrs == layout.attrs.toVector, s"${schema.name}: not the attributes of its layout")
+
+  private val members: Array[RelationStore] = layout.stores.toArray
+  private val n = members.length
+  private var ids = new Array[Int](0)
+  private var rows = 0
+
+  /** The positions the indexes read, and the array they are gathered into. */
+  private var gathered = Array.empty[Int]
+  private val scratch = new Array[Long](schema.arity)
+
+  def size: Int = rows
+
+  def value(id: Int, pos: Int): Long = {
+    val r = layout.rel(pos)
+    members(r).value(ids(id * n + r), layout.pos(pos))
+  }
+
+  protected def keyValues(id: Int): Array[Long] = {
+    var i = 0
+    while (i < gathered.length) { val p = gathered(i); scratch(p) = value(id, p); i += 1 }
+    scratch
+  }
+
+  override protected def reads(idx: Array[Int]): Unit = gathered = (gathered ++ idx).distinct.sorted
+
+  def insert(v: Array[Long]): Int = {
+    if (v.length != n)
+      throw new IllegalArgumentException(s"${schema.name}: a member-id vector of width ${v.length}, not $n")
+    var r = 0
+    while (r < n) {
+      if (v(r) < 0 || v(r) >= members(r).size)
+        throw new IllegalArgumentException(
+          s"${schema.name}: member ${members(r).schema.name} holds no tuple ${v(r)} (it holds ${members(r).size})")
+      r += 1
+    }
+    val id = nextId()
+    val at = id * n
+    if (at + n > ids.length) ids = java.util.Arrays.copyOf(ids, Slots.grownLength(ids.length, at + n))
+    r = 0
+    while (r < n) { ids(at + r) = v(r).toInt; r += 1 }
+    rows += 1
+    indexTuple(id, keyValues(id))
+    id
+  }
+
+  override def approxBytes: Long = Bytes.ints(ids.length) + Bytes.longs(scratch.length) + super.approxBytes
 }
 
 object RelationStore {

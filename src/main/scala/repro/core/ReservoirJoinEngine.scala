@@ -15,6 +15,8 @@ import Proj.JoinRow
   * keep it in the state store between micro-batches.
   *
   * @param grouping  enable the Section 4.4 grouping optimization
+  * @param stores    one store per relation of `query`: value stores, or a
+  *                  decomposition's bag stores
   */
 class ReservoirJoinEngine private[core] (
     val query: JoinQuery,
@@ -23,13 +25,14 @@ class ReservoirJoinEngine private[core] (
     grouping: Boolean,
     trackFullJoin: Boolean,
     policy: CountPolicy,
+    val stores: Vector[RelationStore],
 ) extends SamplingEngine {
 
   def this(query: JoinQuery, k: Int, seed: Long, grouping: Boolean = false,
            trackFullJoin: Boolean = true) =
-    this(query, k, seed, grouping, trackFullJoin, CountPolicy.Pow2)
+    this(query, k, seed, grouping, trackFullJoin, CountPolicy.Pow2, query.relations.map(new ValueStore(_)))
 
-  val stores: Vector[RelationStore] = query.relations.map(new RelationStore(_))
+  require(stores.map(_.schema) == query.relations, s"${query.name}: stores of other relations")
   val counters = new EngineCounters
 
   private val unrootedEdges: Vector[(Int, Int)] = JoinTree.unrooted(query).getOrElse(

@@ -17,5 +17,10 @@ import repro.core._
   * is the exact `|Q(R)|` — handy as a test oracle and for the Fig. 7
   * join-size column.
   */
-final class SJoinEngine(query: JoinQuery, k: Int, seed: Long, trackFullJoin: Boolean = true)
-    extends ReservoirJoinEngine(query, k, seed, false, trackFullJoin, CountPolicy.Exact)
+final class SJoinEngine private[core] (query: JoinQuery, k: Int, seed: Long, trackFullJoin: Boolean,
+                                      stores: Vector[RelationStore])
+    extends ReservoirJoinEngine(query, k, seed, false, trackFullJoin, CountPolicy.Exact, stores) {
+
+  def this(query: JoinQuery, k: Int, seed: Long, trackFullJoin: Boolean = true) =
+    this(query, k, seed, trackFullJoin, query.relations.map(new ValueStore(_)))
+}

@@ -22,11 +22,12 @@ final class TriangleNode(
 ) extends GhdNode {
 
   val output: RelSchema = RelSchema(s"tri_${ra}_${rb}_$rc", Vector(x, y, z))
+  val store: RelationStore = new ValueStore(output)
   def inputs: Seq[String] = Seq(ra, rb, rc)
 
   private val dicts = mutable.Map.empty[Vector[String], KeyDict]
   private val stores = Array.tabulate(3)(i =>
-    new RelationStore(RelSchema(inputs(i), Vector(output.attrs(i), output.attrs((i + 1) % 3)))))
+    new ValueStore(RelSchema(inputs(i), Vector(output.attrs(i), output.attrs((i + 1) % 3)))))
   private val src = stores.map(s => s.ensureIndex(s.schema.attrs.take(1), dicts))
   private val dst = stores.map(s => s.ensureIndex(s.schema.attrs.drop(1), dicts))
   private val edge = stores.map(s => s.ensureIndex(s.schema.attrs, dicts))
@@ -101,9 +102,11 @@ class GhdEngine(decomposition: Decomposition, val inner: ReservoirJoinEngine) ex
 
 object GhdEngine {
 
-  /** RSJoin over the bag query of `d`, without the full-join root states. */
+  /** RSJoin over the bag query of `d` and its stores, without the
+    * full-join root states.
+    */
   private def rs(d: Decomposition, k: Int, seed: Long): GhdEngine =
-    new GhdEngine(d, new ReservoirJoinEngine(d.query, k, seed, trackFullJoin = false))
+    new GhdEngine(d, new ReservoirJoinEngine(d.query, k, seed, false, false, CountPolicy.Pow2, d.stores))
 
   /** The paper's dumbbell query: two directed triangles bridged by an edge
     * `G7(G1.src, G4.src)`. GHD bags: {x1,x2,x3} (triangle 1), {x1,x4}

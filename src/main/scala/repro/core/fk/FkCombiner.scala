@@ -16,8 +16,9 @@ final case class FkSpec(childRel: String, keyAttrs: Vector[String], parentRel: S
   * relation, the output of a bag per group. A one-relation group is an
   * [[EdgeNode]]; a larger one is a [[DeltaEnumerator]] over the group
   * subquery, whose delta rows are the combined tuples to feed into the inner
-  * engine. Late-arriving dimension tuples correctly release all waiting fact
-  * tuples.
+  * engine: member-id vectors, which its [[CombinedStore]] keeps and reads
+  * through the group's member stores. Late-arriving dimension tuples
+  * correctly release all waiting fact tuples.
   *
   * It rejects, with an `IllegalArgumentException` naming the spec, an
   * [[FkSpec]] that names an unknown relation or whose `keyAttrs` are not
@@ -42,11 +43,17 @@ final class FkCombiner private (baseQuery: JoinQuery, fks: Seq[FkSpec], val grou
     */
   def combinedQuery: JoinQuery = query
 
-  /** [[translate]] by relation name, collecting the combined inserts. */
+  /** [[translate]] by relation name, collecting the combined inserts, for
+    * the benchmark's traced replay. A combined tuple of a larger group is its
+    * member-id vector (see [[CombinedStore]]), which the replay passes on to
+    * the inner engine's store of that group; the emitted scratch vector is
+    * cloned here. It returns member-id vectors for as long as the replay
+    * drives the inner stores itself, in place of metrics inside the engines.
+    */
   def translate(rel: String, values: Array[Long]): ArrayBuffer[(String, Array[Long])] = {
     val out = new ArrayBuffer[(String, Array[Long])](1)
     translate(rel, values, new RowSink {
-      def emit(gi: Int, row: Array[Long]): Unit = out += ((query.relations(gi).name, row))
+      def emit(gi: Int, row: Array[Long]): Unit = out += ((query.relations(gi).name, row.clone()))
     })
     out
   }
@@ -87,7 +94,7 @@ object FkEngine {
          grouping: Boolean = false, trackFullJoin: Boolean = true): FkEngine = {
     val comb = new FkCombiner(query, fks)
     new FkEngine(comb,
-      new ReservoirJoinEngine(comb.combinedQuery, k, seed, grouping, trackFullJoin))
+      new ReservoirJoinEngine(comb.combinedQuery, k, seed, grouping, trackFullJoin, CountPolicy.Pow2, comb.stores))
   }
 
   /** SJoin_opt: FK combination in front of the SJoin baseline. */
@@ -95,6 +102,6 @@ object FkEngine {
          trackFullJoin: Boolean = true): FkEngine = {
     val comb = new FkCombiner(query, fks)
     new FkEngine(comb,
-      new repro.core.baseline.SJoinEngine(comb.combinedQuery, k, seed, trackFullJoin))
+      new repro.core.baseline.SJoinEngine(comb.combinedQuery, k, seed, trackFullJoin, comb.stores))
   }
 }

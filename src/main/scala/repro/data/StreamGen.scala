@@ -1,6 +1,6 @@
 package repro.data
 
-import scala.collection.mutable
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
 import repro.core.{JoinQuery, Rng}
@@ -26,15 +26,45 @@ final case class Workload(
 object StreamGen {
 
   /** Fisher–Yates shuffle (deterministic in `rng`). */
-  def shuffle[A](xs: collection.IndexedSeq[A], rng: Rng): Vector[A] = {
-    val a = xs.toArray[Any]
+  def shuffle[A](xs: collection.IndexedSeq[A], rng: Rng): Vector[A] = shuffled(xs.toArray[Any], rng)
+
+  /** [[shuffle]] in place: the same draws give the same permutation. */
+  private def permute(a: Array[Any], rng: Rng): Unit = {
     var i = a.length - 1
     while (i > 0) {
       val j = rng.nextInt(i + 1)
       val t = a(i); a(i) = a(j); a(j) = t
       i -= 1
     }
-    a.toVector.asInstanceOf[Vector[A]]
+  }
+
+  /** `a`, shuffled in place, as a `Vector`. */
+  private def shuffled[A](a: Array[Any], rng: Rng): Vector[A] = {
+    permute(a, rng)
+    vector(a)
+  }
+
+  /** The elements of `a`, copied once into a `Vector`. */
+  private def vector[A](a: Array[Any]): Vector[A] = ArraySeq.unsafeWrapArray(a).toVector.asInstanceOf[Vector[A]]
+
+  /** A set of at most `most` positive `Long` codes: open addressing with
+    * linear probing over a table (0 empty) at most half full.
+    */
+  private final class CodeSet(most: Int) {
+    private val bits = 64 - java.lang.Long.numberOfLeadingZeros(math.max(2L * most, 4L) - 1)
+    private val table = new Array[Long](1 << bits)
+    private val mask = table.length - 1
+
+    /** Add `code`; false if it is already present. */
+    def add(code: Long): Boolean = {
+      var h = ((code * 0x9e3779b97f4a7c15L) >>> (64 - bits)).toInt
+      while (table(h) != 0) {
+        if (table(h) == code) return false
+        h = (h + 1) & mask
+      }
+      table(h) = code
+      true
+    }
   }
 
   /** Synthetic Epinions-like directed graph: `m` distinct edges over `n`
@@ -45,25 +75,41 @@ object StreamGen {
     require(m.toLong * 2 <= n.toLong * (n - 1),
       s"cannot draw $m distinct directed edges over $n nodes without near-exhaustion")
     val rng = new Rng(seed)
-    val seen = mutable.HashSet.empty[(Long, Long)]
-    val out = new ArrayBuffer[(Long, Long)](m)
+    val seen = new CodeSet(m)
+    val out = new Array[Any](m)
+    var got = 0
     def node(): Long = 1L + (n * math.pow(rng.nextDouble(), skew)).toLong.min(n - 1L)
-    while (out.length < m) {
-      val e = (node(), node())
-      if (e._1 != e._2 && seen.add(e)) out += e
+    while (got < m) {
+      val src = node()
+      val dst = node()
+      if (src != dst && seen.add(src * (n + 1L) + dst)) { out(got) = (src, dst); got += 1 }
     }
-    out.toVector
+    vector(out)
   }
 
   /** Stream k independently shuffled copies of the edge list (one per alias),
     * globally interleaved in random order — the paper's graph-query setup.
+    * Each copy is shuffled in one reused array.
     */
   private def aliasedEdgeStream(aliases: Seq[String], edges: Vector[(Long, Long)],
                                 seed: Long): Vector[(String, Array[Long])] = {
     val rng = new Rng(seed)
-    val all = new ArrayBuffer[(String, Array[Long])](aliases.size * edges.size)
-    for (a <- aliases; e <- shuffle(edges, rng)) all += ((a, Array(e._1, e._2)))
-    shuffle(all, rng)
+    val es = edges.toArray
+    val m = es.length
+    val order = new Array[Any](m)
+    val all = new Array[Any](aliases.size * m)
+    var at = 0
+    for (a <- aliases) {
+      var i = 0
+      while (i < m) { order(i) = es(i); i += 1 }
+      permute(order, rng)
+      i = 0
+      while (i < m) {
+        val e = order(i).asInstanceOf[(Long, Long)]
+        all(at) = (a, Array(e._1, e._2)); at += 1; i += 1
+      }
+    }
+    shuffled(all, rng)
   }
 
   def lineK(k: Int, edges: Vector[(Long, Long)], seed: Long): Workload = {
@@ -109,17 +155,17 @@ object StreamGen {
     // this is what makes the grouping optimization compress so well (Fig. 9).
     val nInc = math.max(4, math.min(20, nD / 2))
     val nCat = math.max(3, math.min(10, nI / 4))
-    val items = (1 to nI).map(i =>
-      Array(i.toLong, 1L + rng.nextInt(nCat), rng.nextLong(1000))).toVector
-    val hds = (1 to nD).map(i =>
-      Array(i.toLong, 1L + rng.nextInt(nInc), rng.nextLong(1000))).toVector
-    val customers = (1 to nC).map(i =>
-      Array(i.toLong, 1L + rng.nextInt(nD), rng.nextLong(1000))).toVector
-    val sales = (1 to nS).map { _ =>
+    val items = Vector.tabulate(nI)(i =>
+      Array(i + 1L, 1L + rng.nextInt(nCat), rng.nextLong(1000)))
+    val hds = Vector.tabulate(nD)(i =>
+      Array(i + 1L, 1L + rng.nextInt(nInc), rng.nextLong(1000)))
+    val customers = Vector.tabulate(nC)(i =>
+      Array(i + 1L, 1L + rng.nextInt(nD), rng.nextLong(1000)))
+    val sales = Vector.tabulate(nS) { _ =>
       // Mild skew on the customer key, as in real store_sales.
       val cust = 1L + (nC * math.pow(rng.nextDouble(), 1.5)).toLong.min(nC - 1L)
       Array(cust, 1L + rng.nextInt(nI), rng.nextLong(1000))
-    }.toVector
+    }
     TpcdsLite(items, hds, customers, sales)
   }
 
@@ -135,11 +181,11 @@ object StreamGen {
     if (rels("d2")) for (t <- data.hds) pre += (("d2", t))
     if (rels("i1")) for (t <- data.items) pre += (("i1", t))
     if (rels("i2")) for (t <- data.items) pre += (("i2", t))
-    val streamed = new ArrayBuffer[(String, Array[Long])]
-    for (t <- data.sales) streamed += (("ss", t))
-    if (rels("c1")) for (t <- data.customers) streamed += (("c1", t))
-    if (rels("c2")) for (t <- data.customers) streamed += (("c2", t))
-    Workload(query.name, query, fks, pre.toVector, shuffle(streamed, rng))
+    val parts = ("ss" -> data.sales) +: Seq("c1", "c2").filter(rels).map(_ -> data.customers)
+    val streamed = new Array[Any](parts.map(_._2.size).sum)
+    var at = 0
+    for ((r, ts) <- parts; t <- ts) { streamed(at) = (r, t); at += 1 }
+    Workload(query.name, query, fks, pre.toVector, shuffled(streamed, rng))
   }
 
   def qx(sf: Double, seed: Long): Workload = tpcds(Queries.qx, Queries.qxFks, sf, seed)
@@ -171,26 +217,19 @@ object StreamGen {
       Array(i.toLong, 1L + rng.nextInt(nCity), rng.nextLong(100))).toVector
     val messages = (1 to nMessage).map(i =>
       Array(i.toLong, 1L + rng.nextInt(nPerson))).toVector
-    def hasTags() = {
-      val seen = mutable.HashSet.empty[(Long, Long)]
-      val out = new ArrayBuffer[Array[Long]]
-      while (out.length < nHasTag) {
-        val e = (1L + rng.nextInt(nMessage), 1L + rng.nextInt(nTag))
-        if (seen.add(e)) out += Array(e._1, e._2)
+    /** `count` distinct pairs `(a, b)`, `a` in `[1, na]` and `b` in `[1, nb]`, with `a ≠ b` if `loopFree`. */
+    def pairs(count: Int, na: Int, nb: Int, loopFree: Boolean) = {
+      val seen = new CodeSet(count)
+      val out = new ArrayBuffer[Array[Long]](count)
+      while (out.length < count) {
+        val a = 1L + rng.nextInt(na)
+        val b = 1L + rng.nextInt(nb)
+        if ((!loopFree || a != b) && seen.add(a * (nb + 1L) + b)) out += Array(a, b)
       }
-      out.toVector
+      out
     }
-    val ht = hasTags() // both aliases stream the same hasTag table
-    def knowsEdges() = {
-      val seen = mutable.HashSet.empty[(Long, Long)]
-      val out = new ArrayBuffer[Array[Long]]
-      while (out.length < nKnows) {
-        val e = (1L + rng.nextInt(nPerson), 1L + rng.nextInt(nPerson))
-        if (e._1 != e._2 && seen.add(e)) out += Array(e._1, e._2)
-      }
-      out.toVector
-    }
-    val kn = knowsEdges()
+    val ht = pairs(nHasTag, nMessage, nTag, loopFree = false) // both aliases stream the same hasTag table
+    val kn = pairs(nKnows, nPerson, nPerson, loopFree = true)
 
     val pre = new ArrayBuffer[(String, Array[Long])]
     for (t <- tags) { pre += (("tag1", t)); pre += (("tag2", t)) }

@@ -105,7 +105,7 @@ class IdRowSpec extends SparkSpec {
 
   private val line3Layout = {
     val q = Queries.lineK(3)
-    new RowLayout(q, q.relations.map(new RelationStore(_)))
+    new RowLayout(q, q.relations.map(new ValueStore(_)))
   }
 
   private def idsOf(r: JoinRow): Seq[Int] = r.asInstanceOf[IdRow].ids.toSeq

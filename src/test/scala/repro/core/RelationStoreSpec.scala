@@ -15,7 +15,7 @@ class RelationStoreSpec extends SparkSpec {
   private def list(ids: IdLists, k: Int): Vector[Int] = Vector.tabulate(ids.length(k))(ids(k)(_))
 
   test("insert past the store's capacity throws an IllegalStateException naming the relation") {
-    val store = new RelationStore(RelSchema("R", Vector("a", "b")), capacity = 3)
+    val store = new ValueStore(RelSchema("R", Vector("a", "b")), capacity = 3)
     val ix = store.ensureIndex(Vector("a"), mutable.HashMap.empty)
     for (i <- 0 until 3) assert(store.insert(Array(i.toLong % 2, i.toLong)) === i)
     val e = intercept[IllegalStateException](store.insert(Array(0L, 3L)))
@@ -26,8 +26,8 @@ class RelationStoreSpec extends SparkSpec {
 
   test("key indexes: one key id per tuple, lists in insertion order, backfill, shared dictionaries") {
     val dicts = mutable.HashMap.empty[Vector[String], KeyDict]
-    val r = new RelationStore(RelSchema("R", Vector("a", "b", "c")))
-    val s = new RelationStore(RelSchema("S", Vector("c", "d", "b")))
+    val r = new ValueStore(RelSchema("R", Vector("a", "b", "c")))
+    val s = new ValueStore(RelSchema("S", Vector("c", "d", "b")))
     val rows = Vector(Array(1L, 2L, 3L), Array(1L, 5L, 3L), Array(4L, 2L, 3L), Array(1L, 2L, 9L))
     val bc = r.ensureIndex(Vector("b", "c"), dicts)
     r.insert(rows(0)); r.insert(rows(1))

@@ -7,6 +7,17 @@ import repro.queries.Queries
 
 class FkCombinerSpec extends SparkSpec {
 
+  /** The values of combined tuple `row` of group `gi`: a member-id vector is
+    * read through the group's member stores, a one-relation group's tuple is
+    * its values.
+    */
+  private def valuesOf(c: FkCombiner, gi: Int, row: Array[Long]): Map[String, Long] = c.stores(gi) match {
+    case s: CombinedStore =>
+      val ids = row.map(_.toInt)
+      s.schema.attrs.indices.map(p => s.schema.attrs(p) -> s.layout.value(ids, p)).toMap
+    case s => s.schema.attrs.zip(row).toMap
+  }
+
   test("QX collapses to a single combined relation") {
     val c = new FkCombiner(Queries.qx, Queries.qxFks)
     assert(c.combinedQuery.arity === 1)
@@ -36,8 +47,7 @@ class FkCombinerSpec extends SparkSpec {
     val out = c.translate("d1", Array(7L, 3L, 300L))
     assert(out.size === 1) // releases the waiting chain
     val (_, row) = out.head
-    val schema = c.combinedQuery.relations.head
-    val m = schema.attrs.zip(row).toMap
+    val m = valuesOf(c, 0, row)
     assert(m("cust1") === 1L && m("hdemo1") === 7L && m("income") === 3L)
   }
 
@@ -73,7 +83,7 @@ class FkCombinerSpec extends SparkSpec {
       val c = new FkCombiner(Queries.qx, Queries.qxFks)
       val emitted = Vector.newBuilder[Map[String, Long]]
       def emit(r: String, t: Array[Long]): Unit =
-        for ((_, row) <- c.translate(r, t)) emitted += c.combinedQuery.relations.head.attrs.zip(row).toMap
+        for ((_, row) <- c.translate(r, t)) emitted += valuesOf(c, 0, row)
       var refused = 0
       // A key of c1 or d1 is repeated once it is present. The repeat points
       // c1 at an hdemo1 no d1 has, and gives d1 a fresh payload, so a stored
@@ -118,7 +128,7 @@ class FkCombinerSpec extends SparkSpec {
       for ((g, gi) <- c.groups.zipWithIndex if g.size > 1) {
         val schema = c.combinedQuery.relations(gi)
         val sub = JoinQuery("grp", g.map(Queries.qz.relations(_)))
-        val rows = emitted.collect { case (_, (schema.name, row)) => schema.attrs.zip(row).toMap }
+        val rows = emitted.collect { case (_, (schema.name, row)) => valuesOf(c, gi, row) }
         val expected = OracleCheck.bruteJoin(sub, stream.filter(x => sub.relIdx.contains(x._1)))
         assert(expected.nonEmpty, s"${schema.name}: empty group join")
         assert(rows.size === rows.toSet.size, s"${schema.name}: a row emitted twice")
@@ -222,10 +232,61 @@ class FkCombinerSpec extends SparkSpec {
       assert(m >= 15 && m <= 3000, s"inconvenient instance size $m")
       val k = 5
       val runs = 1000
-      val counts = IndexHarness.inclusionCounts(
-        s => FkEngine.rs(q, Queries.qyFks, k, s), stream, runs)
-      assert(counts.keySet.subsetOf(all))
-      TestKit.assertUniform(counts, m, k, runs, "fk-qy")
+      val engines = Seq[(String, Long => SamplingEngine)](
+        ("rs", s => FkEngine.rs(q, Queries.qyFks, k, s)),
+        ("rs grouped", s => FkEngine.rs(q, Queries.qyFks, k, s, grouping = true)),
+        ("sj", s => FkEngine.sj(q, Queries.qyFks, k, s)))
+      for ((label, mk) <- engines) {
+        val counts = IndexHarness.inclusionCounts(mk, stream, runs)
+        assert(counts.keySet.subsetOf(all), label)
+        TestKit.assertUniform(counts, m, k, runs, s"fk-qy $label")
+      }
     }
+  }
+
+  test("a combined store refuses a member-id vector of the wrong width or with an absent id, naming the group") {
+    val c = new FkCombiner(Queries.qx, Queries.qxFks)
+    val store = c.stores(0)
+    val group = c.combinedQuery.relations(0).name
+    c.translate("d1", Array(7L, 3L, 300L))
+    c.translate("c1", Array(1L, 7L, 200L))
+    val Seq((_, row)) = c.translate("ss", Array(1L, 1L, 100L)).toSeq
+    assert(row.toSeq === Seq(0L, 0L, 0L))
+    assert(store.insert(row) === 0)
+    // Members ss, c1 and d1 hold one tuple each.
+    for (bad <- Seq(Array(0L, 0L), Array(0L, 0L, 0L, 0L), Array(0L, 1L, 0L), Array(0L, 0L, -1L))) {
+      val e = intercept[IllegalArgumentException](store.insert(bad))
+      assert(e.getMessage.contains(group), e.getMessage)
+    }
+    assert(store.size === 1)
+    // The stored row reads the member tuples' values.
+    val m = valuesOf(c, 0, row)
+    assert(store.schema.attrs.indices.map(store.value(0, _)) === store.schema.attrs.map(m))
+    assert(m === Map("cust1" -> 1L, "item1" -> 1L, "sspay" -> 100L, "hdemo1" -> 7L, "c1pay" -> 200L,
+      "income" -> 3L, "d1pay" -> 300L))
+  }
+
+  private def roundTrip(e: FkEngine): FkEngine = {
+    val bos = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(bos)
+    oos.writeObject(e); oos.close()
+    val ois = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
+    try ois.readObject().asInstanceOf[FkEngine] finally ois.close()
+  }
+
+  test("FkEngine.rs with grouping, Java-serialized every 100 tuples, ends with the uninterrupted sample (qz)") {
+    val w = StreamGen.qz(0.1, 5)
+    val stream = w.preload ++ w.stream
+    def mk() = FkEngine.rs(Queries.qz, Queries.qzFks, 50, 9, grouping = true)
+    val direct = mk()
+    IndexHarness.feed(direct, stream)
+    var e = mk()
+    for (((rel, t), i) <- stream.zipWithIndex) {
+      e.insert(rel, t)
+      if ((i + 1) % 100 == 0) e = roundTrip(e)
+    }
+    assert(stream.size > 300 && direct.sample.size === 50)
+    assert(e.sample === direct.sample)
+    assert(e.simulatedInserts === direct.simulatedInserts)
   }
 }
